@@ -19,16 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from .cloudsim import synth_dataset, synth_mask_pool
-from .core import Dataset, ParcelLabel, parcel_series
+from .core import Dataset, ParcelLabel
 from .detect import (
     ALGORITHMS,
-    FILL_METHODS,
     detect_parcel,
     labels_to_binary,
-    parcel_fill_batch,
+    parcel_block,
     train_dnn_detector,
 )
 from .evalx import (
+    MatchResult,
     ablation_experiment,
     binned_report,
     generalization_experiment,
@@ -61,22 +61,8 @@ from .fileio import (
     read_mask_pools,
     write_table_csv,
 )
-from .interp import (
-    MIN_KNOTS_AKIMA,
-    MIN_KNOTS_LINEAR,
-    MIN_KNOTS_QUADRATIC,
-    fill_akima,
-    fill_linear,
-    fill_quadratic,
-)
 from .preprocess import passes_density, remove_outliers
-from .sfmodel import assemble_training_set, predict_batch, sar_stack, train
-
-_INTERP = {
-    "linear": (fill_linear, MIN_KNOTS_LINEAR),
-    "akima": (fill_akima, MIN_KNOTS_AKIMA),
-    "quadratic": (fill_quadratic, MIN_KNOTS_QUADRATIC),
-}
+from .sfmodel import FILL_METHODS, assemble_training_set, fill_batch, sar_stack, train
 
 
 class _Run:
@@ -231,29 +217,28 @@ def _cmd_train(args, config: RunConfig, run: _Run) -> None:
     run.finish(_sibling_manifest(out))
 
 
+def _fill_model(args, method: str, run: _Run):
+    """The --model an sf fill needs, recorded as an input; None for other fills."""
+    if method != "sf":
+        return None
+    if args.model is None:
+        raise ValueError("sf fill needs --model")
+    run.record_input(args.model)
+    return load_model(args.model)
+
+
 def _filled_parcel_series(args, config: RunConfig, ds: Dataset, run: _Run):
     """(parcel aggregate series filled by --fill, binary event labels)."""
     parcels = list(ds.parcel_ids)
     fill = args.fill or config.pipeline.fill_method
-    if fill == "sf":
-        if args.model is None:
-            raise ValueError("sf fill needs --model")
-        run.record_input(args.model)
-        model = load_model(args.model)
-        filled_map = parcel_fill_batch(ds, parcels, model, outlier=config.outlier)
-        rows = [filled_map[p] for p in parcels]
-    elif fill in _INTERP:
-        filler, _ = _INTERP[fill]
-        rows = []
-        for pid in parcels:
-            agg = parcel_series(ds, pid)
-            rows.append(filler(remove_outliers(agg.ndvi, ds.grid, config.outlier), ds.grid))
-    else:
+    if fill == "none":
         raise ValueError("detector training needs a continuous series; pick a fill method")
+    ndvi, sar = parcel_block(ds, parcels, config.outlier)
+    filled, _ = fill_batch(ndvi, ds.grid, fill, _fill_model(args, fill, run), sar)
     labels = np.stack([
         labels_to_binary(ds.labels.get(pid, ParcelLabel(pid)), ds.grid) for pid in parcels
     ])
-    return np.stack(rows), labels
+    return filled, labels
 
 
 def _stacked(ds: Dataset):
@@ -268,38 +253,19 @@ def _cmd_gapfill(args, config: RunConfig, run: _Run) -> None:
     ds = _load_dataset(args.inp)
     out = Path(args.out)
     method = args.method or config.pipeline.fill_method
+    if method == "none":
+        raise ValueError("gapfill needs a fill method, not 'none'")
+    model = _fill_model(args, method, run)
     pixels, ndvi, sar = _stacked(ds)
-    n_skipped = 0
-    filled_px = []
-    if method == "sf":
-        if args.model is None:
-            raise ValueError("sf fill needs --model")
-        run.record_input(args.model)
-        model = load_model(args.model)
-        pred = predict_batch(model, ndvi, sar)
-        keep = ~np.isnan(ndvi)
-        if args.cloud_filter:
-            thr = config.pipeline.cloud_filter_threshold
-            diff = np.where(keep, pred - np.nan_to_num(ndvi), -np.inf)
-            keep = keep & (diff < thr)
-        filled = np.where(keep, ndvi, pred)
-        filled_px = [px.with_ndvi(filled[k]) for k, px in enumerate(pixels)]
-    elif method in _INTERP:
-        filler, min_knots = _INTERP[method]
-        for k, px in enumerate(pixels):
-            if px.present.sum() < min_knots:
-                n_skipped += 1
-                filled_px.append(px)
-            else:
-                filled_px.append(px.with_ndvi(filler(ndvi[k], ds.grid)))
-    else:
-        raise ValueError(f"unknown fill method {method!r}")
+    cf = config.pipeline.cloud_filter_threshold if args.cloud_filter else None
+    filled, _ = fill_batch(ndvi, ds.grid, method, model, sar, cf)
+    filled_px = [px.with_ndvi(filled[k]) for k, px in enumerate(pixels)]
     _write_dataset(run, Dataset(grid=ds.grid, pixels=tuple(filled_px), labels=ds.labels), out)
     report = {
         "method": method,
         "n_pixels": len(pixels),
-        "n_skipped_pixels": n_skipped,
-        "n_filled_steps": int(np.isnan(ndvi).sum()) if method == "sf" or not n_skipped else None,
+        "n_skipped_pixels": int(np.isnan(filled).any(axis=1).sum()),
+        "n_filled_steps": int(np.sum(np.isnan(ndvi) & ~np.isnan(filled))),
     }
     write_json(out / "gapfill_report.json", report)
     run.wrote(out / "gapfill_report.json")
@@ -314,16 +280,13 @@ def _cmd_cloudfilter(args, config: RunConfig, run: _Run) -> None:
     model = load_model(args.model)
     thr = args.threshold if args.threshold is not None else config.pipeline.cloud_filter_threshold
     pixels, ndvi, sar = _stacked(ds)
-    pred = predict_batch(model, ndvi, sar)
-    present = ~np.isnan(ndvi)
-    diff = np.where(present, pred - np.nan_to_num(ndvi), -np.inf)
-    flagged = present & (diff >= thr)
+    _, flagged = fill_batch(ndvi, ds.grid, "sf", model, sar, thr)
     cleaned = np.where(flagged, np.nan, ndvi)
     out_px = [px.with_ndvi(cleaned[k]) for k, px in enumerate(pixels)]
     _write_dataset(run, Dataset(grid=ds.grid, pixels=tuple(out_px), labels=ds.labels), out)
     report = {
         "threshold": thr,
-        "n_present_steps": int(present.sum()),
+        "n_present_steps": int(np.sum(~np.isnan(ndvi))),
         "n_flagged_steps": int(flagged.sum()),
     }
     write_json(out / "cloudfilter_report.json", report)
@@ -337,13 +300,8 @@ def _cmd_detect(args, config: RunConfig, run: _Run) -> None:
     out = Path(args.out)
     algo = args.algo or config.pipeline.algorithm
     fill = args.fill or config.pipeline.fill_method
-    model = None
+    model = _fill_model(args, fill, run)
     dnn_model = None
-    if fill == "sf":
-        if args.model is None:
-            raise ValueError("sf fill needs --model")
-        run.record_input(args.model)
-        model = load_model(args.model)
     if algo == "dnn":
         if args.dnn_model is None:
             raise ValueError("dnn detection needs --dnn-model")
@@ -416,9 +374,7 @@ def _eval_events(args, config: RunConfig, run: _Run, out: Path) -> None:
             "tp": m.true_positive, "fp": m.false_positive, "fn": m.false_negative,
             "recall": recall, "precision": precision, "f1": f1,
         }
-    total = results[parcels[0]]
-    for pid in parcels[1:]:
-        total = total + results[pid]
+    total = sum(results.values(), MatchResult(0, 0, 0))
     recall, precision, f1 = prf(total)
     report = {
         "mode": "events",
@@ -513,14 +469,8 @@ def _cmd_experiment(args, config: RunConfig, run: _Run) -> None:
     ds = _load_dataset(args.inp)
     if args.kind == "hidden":
         fill = args.fill or config.pipeline.fill_method
-        model = None
-        if fill == "sf":
-            if args.model is None:
-                raise ValueError("sf fill needs --model")
-            run.record_input(args.model)
-            model = load_model(args.model)
         rep = hidden_event_experiment(
-            ds, fill, model,
+            ds, fill, _fill_model(args, fill, run),
             detector=config.pipeline.algorithm if config.pipeline.algorithm in ("mda1", "mda2") else "mda1",
             seed=config.pipeline.seed,
             tolerance_max=config.pipeline.tolerance_days,

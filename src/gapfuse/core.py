@@ -90,16 +90,6 @@ class TemporalGrid:
         return idx
 
 
-def grid_doy(grid: TemporalGrid, index: int) -> int:
-    return grid.doy(index)
-
-
-def nearest_grid_index(
-    grid: TemporalGrid, doy: float, max_distance_days: float | None = None
-) -> int | None:
-    return grid.nearest_index(doy, max_distance_days)
-
-
 @dataclass(frozen=True)
 class PixelSeries:
     """One pixel's season: NDVI plus the radar channels, all on the grid.

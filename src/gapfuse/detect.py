@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import find_peaks
 
-from .core import Dataset, ParcelLabel, PixelSeries, TemporalGrid, parcel_series
-from .interp import fill_akima, fill_linear, fill_quadratic
+from .core import Dataset, ParcelLabel, TemporalGrid, parcel_series
 from .neural import AdamState, weighted_bce, weighted_bce_grad
 from .preprocess import OutlierParams, remove_outliers
 from .sfmodel import (
@@ -22,7 +21,7 @@ from .sfmodel import (
     SfModel,
     SfNet,
     TrainConfig,
-    gapfill_sf,
+    fill_batch,
     predict_batch,
     sar_stack,
 )
@@ -277,8 +276,17 @@ def train_dnn_detector(
     return model, report
 
 
-FILL_METHODS = ("none", "linear", "akima", "quadratic", "sf")
 ALGORITHMS = ("mda1", "mda2", "dnn")
+
+
+def parcel_block(
+    dataset: Dataset, parcel_ids, outlier: OutlierParams | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N, T) NDVI and (N, T, 8) radar stacks of parcel aggregates; `outlier`
+    (when given) removes downward spikes from the NDVI."""
+    aggs = [parcel_series(dataset, pid) for pid in parcel_ids]
+    ndvi = [a.ndvi if outlier is None else remove_outliers(a.ndvi, dataset.grid, outlier) for a in aggs]
+    return np.stack(ndvi), np.stack([sar_stack(a) for a in aggs])
 
 
 def detect_parcel(
@@ -298,36 +306,21 @@ def detect_parcel(
 
     `outlier` (when given) removes downward spikes before filling;
     `cloud_filter_threshold` additionally replaces suspect observations with
-    the fusion model's prediction (sf fill only).
+    the fusion model's prediction (sf fill only).  A series with too few
+    observations for an interpolator stays unfilled.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if fill_method not in FILL_METHODS:
-        raise ValueError(f"unknown fill method {fill_method!r}")
-    agg = parcel_series(dataset, parcel_id)
-    ndvi = agg.ndvi.copy()
-    if outlier is not None:
-        ndvi = remove_outliers(ndvi, dataset.grid, outlier)
-    if fill_method == "sf":
-        if model is None:
-            raise ValueError("sf fill needs a trained model")
-        filled = gapfill_sf(model, agg.with_ndvi(ndvi), cloud_filter_threshold)
-    elif fill_method == "linear":
-        filled = fill_linear(ndvi, dataset.grid)
-    elif fill_method == "akima":
-        filled = fill_akima(ndvi, dataset.grid)
-    elif fill_method == "quadratic":
-        filled = fill_quadratic(ndvi, dataset.grid)
-    else:
-        filled = ndvi
+    ndvi, sar = parcel_block(dataset, [parcel_id], outlier)
+    filled, _ = fill_batch(ndvi, dataset.grid, fill_method, model, sar, cloud_filter_threshold)
     if algorithm == "mda1":
-        result = mda1(filled, dataset.grid, mda1_params)
+        result = mda1(filled[0], dataset.grid, mda1_params)
     elif algorithm == "mda2":
-        result = mda2(filled, dataset.grid, mda2_params)
+        result = mda2(filled[0], dataset.grid, mda2_params)
     else:
         if dnn_model is None:
             raise ValueError("dnn detection needs a trained detector model")
-        result, _ = dnn_detect(dnn_model, filled, dataset.grid, decode_threshold)
+        result, _ = dnn_detect(dnn_model, filled[0], dataset.grid, decode_threshold)
     return EventSet(parcel_id=parcel_id, events=result.events)
 
 
@@ -339,22 +332,6 @@ def parcel_fill_batch(
     cloud_filter_threshold: float | None = None,
 ) -> dict[int, np.ndarray]:
     """Fusion-fill many parcel aggregates in one batched forward pass."""
-    rows = []
-    sars = []
-    for pid in parcel_ids:
-        agg = parcel_series(dataset, pid)
-        ndvi = agg.ndvi.copy()
-        if outlier is not None:
-            ndvi = remove_outliers(ndvi, dataset.grid, outlier)
-        rows.append(ndvi)
-        sars.append(sar_stack(agg))
-    ndvi_arr = np.stack(rows)
-    pred = predict_batch(model, ndvi_arr, np.stack(sars))
-    out = {}
-    for k, pid in enumerate(parcel_ids):
-        keep = ~np.isnan(ndvi_arr[k])
-        if cloud_filter_threshold is not None:
-            diff = np.where(keep, pred[k] - np.nan_to_num(ndvi_arr[k]), -np.inf)
-            keep = keep & (diff < cloud_filter_threshold)
-        out[pid] = np.where(keep, ndvi_arr[k], pred[k])
-    return out
+    ndvi, sar = parcel_block(dataset, parcel_ids, outlier)
+    filled, _ = fill_batch(ndvi, dataset.grid, "sf", model, sar, cloud_filter_threshold)
+    return dict(zip(parcel_ids, filled))

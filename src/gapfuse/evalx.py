@@ -11,12 +11,7 @@ import numpy as np
 from .cloudsim import MaskPool
 from .core import Dataset, parcel_series
 from .detect import EventSet, Mda1Params, Mda2Params, mda1, mda2
-from .interp import (
-    MIN_KNOTS_AKIMA,
-    fill_akima,
-    fill_linear,
-    fill_quadratic,
-)
+from .interp import MIN_KNOTS_AKIMA
 from .preprocess import DensityCriteria, OutlierParams, remove_outliers
 from .sfmodel import (
     SfArchitecture,
@@ -24,7 +19,7 @@ from .sfmodel import (
     TrainConfig,
     TrainingSet,
     assemble_training_set,
-    predict_batch,
+    fill_batch,
     sar_group_channels,
     sar_stack,
     train,
@@ -260,15 +255,7 @@ def gapfill_eval(
     if idx.size == 0:
         raise ValueError("no pixels with hidden steps to evaluate")
 
-    fills: dict[str, np.ndarray] = {}
-    interp_map = {"akima": fill_akima, "linear": fill_linear, "quadratic": fill_quadratic}
-    for m in methods:
-        if m == "sf":
-            if model is None:
-                raise ValueError("sf evaluation needs a trained model")
-            fills[m] = predict_batch(model, training.ndvi_in[idx], training.sar[idx])
-        else:
-            fills[m] = np.stack([interp_map[m](training.ndvi_in[i], grid) for i in idx])
+    fills = {m: fill_batch(training.ndvi_in[idx], grid, m, model, training.sar[idx])[0] for m in methods}
 
     truth = training.target[idx]
     sel = hidden[idx]
@@ -342,8 +329,9 @@ def hidden_event_experiment(
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     eligible = [p for p in sorted(dataset.labels) if len(dataset.labels[p].event_doys) == 1]
-    records: list[HiddenEventRecord] = []
-    sf_rows: list[tuple[int, np.ndarray, np.ndarray]] = []
+    hidden: list[tuple[int, int, int, int]] = []
+    rows: list[np.ndarray] = []
+    sars: list[np.ndarray] = []
     for pid in eligible:
         e = dataset.labels[pid].event_doys[0]
         before = np.flatnonzero(grid.doys < e)
@@ -357,37 +345,13 @@ def hidden_event_experiment(
         ndvi[g0:gap_end] = np.nan
         if outlier is not None:
             ndvi = remove_outliers(ndvi, grid, outlier)
-        if fill_method == "sf":
-            if model is None:
-                raise ValueError("sf fill needs a trained model")
-            sf_rows.append((pid, ndvi, agg))
-            records.append(HiddenEventRecord(pid, e, g0, gap_end - g0, ()))
-            continue
-        if fill_method == "linear":
-            filled = fill_linear(ndvi, grid)
-        elif fill_method == "akima":
-            filled = fill_akima(ndvi, grid)
-        elif fill_method == "quadratic":
-            filled = fill_quadratic(ndvi, grid)
-        elif fill_method == "none":
-            filled = ndvi
-        else:
-            raise ValueError(f"unknown fill method {fill_method!r}")
-        found = run_detector(filled)
-        records.append(HiddenEventRecord(pid, e, g0, gap_end - g0, found.doys))
-    if fill_method == "sf" and sf_rows:
-        ndvi_arr = np.stack([r[1] for r in sf_rows])
-        sar_arr = np.stack([sar_stack(r[2]) for r in sf_rows])
-        pred = predict_batch(model, ndvi_arr, sar_arr)
-        filled_rows = np.where(np.isnan(ndvi_arr), pred, ndvi_arr)
-        for k in range(len(sf_rows)):
-            found = run_detector(filled_rows[k])
-            rec = records[k]
-            records[k] = HiddenEventRecord(
-                rec.parcel_id, rec.event_doy, rec.gap_start_step, rec.gap_length, found.doys
-            )
-    if not records:
+        hidden.append((pid, e, g0, gap_end - g0))
+        rows.append(ndvi)
+        sars.append(sar_stack(agg))
+    if not hidden:
         raise ValueError("no eligible single-event parcels")
+    filled, _ = fill_batch(np.stack(rows), grid, fill_method, model, np.stack(sars))
+    records = [HiddenEventRecord(*h, run_detector(row).doys) for h, row in zip(hidden, filled)]
 
     def aggregate(tol: int) -> MatchResult:
         agg = MatchResult(0, 0, 0)

@@ -397,38 +397,42 @@ def load_model(path) -> SfModel:
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise FileFormatError(path, f"unreadable header: {e}") from None
         body = fh.read()
+    if not isinstance(header, dict):
+        raise FileFormatError(path, "the header is not a JSON object")
     if header.get("dtype") != "<f4":
         raise FileFormatError(path, f"unsupported dtype {header.get('dtype')!r}")
-    a = header["arch"]
-    arch = SfArchitecture(
-        channels=tuple(a["channels"]),
-        conv_filters=tuple(a["conv_filters"]),
-        kernel=a["kernel"],
-        pool=a["pool"],
-        branch_dense=tuple(a["branch_dense"]),
-        lstm_hidden=a["lstm_hidden"],
-        head=a["head"],
-    )
-    s = header["stats"]
-    stats = NormStats(
-        channels=tuple(s["channels"]),
-        mean=np.asarray(s["mean"], dtype=np.float64),
-        sd=np.asarray(s["sd"], dtype=np.float64),
-    )
-    g = header["grid"]
-    grid = TemporalGrid(start_doy=g["start_doy"], step_days=g["step_days"], length=g["length"])
-    net = SfNet(arch, np.random.default_rng(0))
-    state: dict[str, np.ndarray] = {}
-    for e in header["params"]:
-        lo, hi = e["offset"], e["offset"] + e["nbytes"]
-        if hi > len(body):
-            raise FileFormatError(path, f"parameter {e['name']} extends past end of file")
-        arr = np.frombuffer(body[lo:hi], dtype="<f4").reshape(e["shape"])
-        state[e["name"]] = arr.astype(np.float32)
     try:
+        a = header["arch"]
+        arch = SfArchitecture(
+            channels=tuple(a["channels"]),
+            conv_filters=tuple(a["conv_filters"]),
+            kernel=a["kernel"],
+            pool=a["pool"],
+            branch_dense=tuple(a["branch_dense"]),
+            lstm_hidden=a["lstm_hidden"],
+            head=a["head"],
+        )
+        s = header["stats"]
+        stats = NormStats(
+            channels=tuple(s["channels"]),
+            mean=np.asarray(s["mean"], dtype=np.float64),
+            sd=np.asarray(s["sd"], dtype=np.float64),
+        )
+        g = header["grid"]
+        grid = TemporalGrid(start_doy=g["start_doy"], step_days=g["step_days"], length=g["length"])
+        net = SfNet(arch, np.random.default_rng(0))
+        state: dict[str, np.ndarray] = {}
+        for entry in header["params"]:
+            lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]
+            if hi > len(body):
+                raise ValueError(f"parameter {entry['name']} extends past end of file")
+            arr = np.frombuffer(body[lo:hi], dtype="<f4").reshape(entry["shape"])
+            state[entry["name"]] = arr.astype(np.float32)
         net.set_state(state)
-    except ValueError as e:
-        raise FileFormatError(path, str(e)) from None
+    except KeyError as e:
+        raise FileFormatError(path, f"the header lacks the entry {e}") from None
+    except (TypeError, ValueError) as e:
+        raise FileFormatError(path, f"malformed header entry: {e}") from None
     return SfModel(arch=arch, stats=stats, grid=grid, net=net)
 
 

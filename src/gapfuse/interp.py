@@ -2,7 +2,10 @@
 
 All fillers interpolate over day-of-year (not step index), are exact at the
 observed knots, and clamp to the nearest knot value beyond the first/last
-observation (splines extrapolate wildly and the index is bounded).
+observation (splines extrapolate wildly and the index is bounded).  The
+`fill_*` functions also clamp filled steps to NDVI's range [-1, 1], which
+Akima and quadratic pieces can overshoot between knots; the
+`*_interpolate` functions return the raw interpolant.
 """
 
 from __future__ import annotations
@@ -132,7 +135,7 @@ def _fill(ndvi: np.ndarray, grid: TemporalGrid, interpolate, minimum: int, metho
     out = ndvi.copy()
     missing = np.isnan(ndvi)
     if missing.any():
-        out[missing] = interpolate(x, y, grid.doys.astype(np.float64)[missing])
+        out[missing] = np.clip(interpolate(x, y, grid.doys.astype(np.float64)[missing]), -1.0, 1.0)
     return out
 
 

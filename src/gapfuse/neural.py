@@ -449,18 +449,6 @@ def maxpool1d(x: np.ndarray, pool_size: int = 3, stride: int = 1) -> np.ndarray:
     return _from_btc(MaxPool1D(pool_size).forward(x3), rank)
 
 
-def lstm_step(cell: LstmCell, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-    """One LSTM recurrence step; returns (h_t, c_t)."""
-    h, c, _ = cell.step(x_t, h_prev, c_prev)
-    return h, c
-
-
-def bilstm_forward(cell_fwd: LstmCell, cell_bwd: LstmCell, x: np.ndarray) -> np.ndarray:
-    hf = cell_fwd.forward(x)
-    hb = cell_bwd.forward(x[:, ::-1])[:, ::-1]
-    return np.concatenate([hf, hb], axis=2)
-
-
 def weighted_mse(pred: np.ndarray, target: np.ndarray, weights: np.ndarray) -> float:
     """Sum of w*(pred-target)^2 normalized by the weight total (64-bit)."""
     pred = np.asarray(pred)
@@ -540,11 +528,6 @@ class AdamState:
             v *= b2
             v += (1 - b2) * g * g
             p -= (self.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + self.epsilon)).astype(p.dtype)
-
-
-def adam_step(state: AdamState, params: list[tuple[str, np.ndarray, np.ndarray]]) -> AdamState:
-    state.step(params)
-    return state
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Per-channel convolutional branches (the NDVI branch carries an input mask
 that zeroes unobserved steps), a BiLSTM encoder-decoder, and a
 time-distributed head: linear clamped to [-1, 1] for regression, sigmoid
 for the detection variant.  Training minimizes a per-step weighted MSE with
-Adam and parcel-level early stopping.
+Adam and parcel-level early stopping.  `fill_batch` is the one fill path
+for every method, the interpolators and the model alike, and holds the
+cloud-filter rule.
 """
 
 from __future__ import annotations
@@ -15,6 +17,14 @@ import numpy as np
 
 from .cloudsim import MaskPool, bootstrap_mask
 from .core import CHANNELS, NDVI_CHANNEL, SAR_CHANNELS, Dataset, PixelSeries, TemporalGrid
+from .interp import (
+    MIN_KNOTS_AKIMA,
+    MIN_KNOTS_LINEAR,
+    MIN_KNOTS_QUADRATIC,
+    fill_akima,
+    fill_linear,
+    fill_quadratic,
+)
 from .neural import (
     AdamState,
     BiLstm,
@@ -32,6 +42,14 @@ from .neural import (
 from .preprocess import DensityCriteria, OutlierParams, build_target, passes_density, remove_outliers
 
 NDVI_SENTINEL = -10.0
+
+# (filler, minimum observations) per interpolating fill method
+INTERPOLATORS = {
+    "linear": (fill_linear, MIN_KNOTS_LINEAR),
+    "akima": (fill_akima, MIN_KNOTS_AKIMA),
+    "quadratic": (fill_quadratic, MIN_KNOTS_QUADRATIC),
+}
+FILL_METHODS = ("none", *INTERPOLATORS, "sf")
 
 
 @dataclass(frozen=True)
@@ -298,18 +316,6 @@ def encode_arrays(
     return x, flags
 
 
-def encode_inputs(
-    pixel: PixelSeries, stats: NormStats, arch: SfArchitecture = SfArchitecture()
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-pixel encoding: returns ((1, T, C) tensor, (1, T) flags)."""
-    return encode_arrays(pixel.ndvi[None, :], sar_stack(pixel)[None, :, :], stats, arch)
-
-
-def sf_forward(model: SfModel, x: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    """Raw network output for an encoded batch."""
-    return model.net.forward(x, flags)
-
-
 def assemble_training_set(
     dataset: Dataset,
     pools: dict[int, MaskPool],
@@ -493,26 +499,66 @@ def predict_pixel(model: SfModel, pixel: PixelSeries) -> np.ndarray:
     return predict_batch(model, pixel.ndvi[None, :], sar_stack(pixel)[None, :, :])[0]
 
 
+def fill_batch(
+    ndvi: np.ndarray,
+    grid: TemporalGrid,
+    method: str,
+    model: SfModel | None = None,
+    sar: np.ndarray | None = None,
+    cloud_filter_threshold: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fill an (N, T) NaN-coded NDVI block; returns (filled, cloud-flagged).
+
+    `none` leaves the block as it is.  An interpolator fills each row that
+    has at least its minimum number of observations and leaves the other
+    rows unfilled.  `sf` fills absent steps with the model's prediction
+    from the block and its (N, T, 8) radar stack `sar`; with a
+    `cloud_filter_threshold` it also flags the present steps whose
+    prediction sits at least that far above the observation (suspected
+    residual cloud) and replaces them.  Other observations are kept
+    verbatim."""
+    ndvi = np.asarray(ndvi, dtype=np.float64)
+    if ndvi.ndim != 2 or ndvi.shape[1] != grid.length:
+        raise ValueError(f"series shape {ndvi.shape} does not match grid length {grid.length}")
+    present = ~np.isnan(ndvi)
+    flagged = np.zeros(ndvi.shape, dtype=bool)
+    if method != "sf":
+        if cloud_filter_threshold is not None:
+            raise ValueError("the cloud filter needs the sf fill")
+        filled = ndvi.copy()
+        if method in INTERPOLATORS:
+            fill, min_knots = INTERPOLATORS[method]
+            for k in np.flatnonzero(present.sum(axis=1) >= min_knots):
+                filled[k] = fill(ndvi[k], grid)
+        elif method != "none":
+            raise ValueError(f"unknown fill method {method!r}")
+        return filled, flagged
+    if model is None:
+        raise ValueError("sf fill needs a trained model")
+    if model.grid != grid:
+        raise ValueError(f"the model was trained on {model.grid}, not on the data's {grid}")
+    pred = predict_batch(model, ndvi, sar)
+    if cloud_filter_threshold is not None:
+        flagged[present] = pred[present] - ndvi[present] >= cloud_filter_threshold
+    return np.where(present & ~flagged, ndvi, pred), flagged
+
+
 def gapfill_sf(
     model: SfModel, pixel: PixelSeries, cloud_filter_threshold: float | None = None
 ) -> np.ndarray:
     """Fill the absent steps with model predictions; observed values are
     kept verbatim unless cloud filtering replaces flagged ones."""
-    pred = predict_pixel(model, pixel)
-    keep = pixel.present
-    if cloud_filter_threshold is not None:
-        keep = keep & ~cloud_filter(model, pixel, cloud_filter_threshold)
-    return np.where(keep, pixel.ndvi, pred)
+    filled, _ = fill_batch(pixel.ndvi[None, :], model.grid, "sf", model, sar_stack(pixel)[None, :, :],
+                           cloud_filter_threshold)
+    return filled[0]
 
 
 def cloud_filter(model: SfModel, pixel: PixelSeries, threshold: float = 0.15) -> np.ndarray:
     """Flag present steps whose observation sits anomalously LOW versus the
     fused prediction (suspected residual cloud)."""
-    pred = predict_pixel(model, pixel)
-    flags = np.zeros(pixel.length, dtype=bool)
-    present = pixel.present
-    flags[present] = (pred[present] - pixel.ndvi[present]) >= threshold
-    return flags
+    _, flagged = fill_batch(pixel.ndvi[None, :], model.grid, "sf", model, sar_stack(pixel)[None, :, :],
+                            threshold)
+    return flagged[0]
 
 
 def sar_group_channels(groups: set[str] | tuple[str, ...]) -> tuple[str, ...]:

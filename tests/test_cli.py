@@ -6,7 +6,19 @@ import json
 import numpy as np
 import pytest
 
-from gapfuse import read_dataset, read_events, read_manifest
+from gapfuse import (
+    Dataset,
+    ParcelLabel,
+    PixelSeries,
+    SynthConfig,
+    TemporalGrid,
+    read_dataset,
+    read_events,
+    read_manifest,
+    synth_dataset,
+    write_dataset,
+    write_events,
+)
 from gapfuse.cli import main
 from gapfuse.fileio import read_json
 
@@ -174,6 +186,54 @@ class TestGapfill:
         rc = main(["gapfill", "--in", str(ws["ds"]), "--out", str(tmp_path / "x"), "--method", "sf"])
         assert rc == 2
 
+    def test_quadratic_fill_stays_in_ndvi_range(self, tmp_path):
+        """The quadratic spline overshoots 1 on this scene; the fill is
+        clamped instead of failing the command."""
+        scene = tmp_path / "scene"
+        assert main(["synth", "--out", str(scene), "--parcels", "60", "--pixels-per-parcel", "4",
+                     "--seed", "101"]) == 0
+        out = tmp_path / "quad"
+        assert main(["gapfill", "--in", str(scene), "--out", str(out), "--method", "quadratic"]) == 0
+        for px in read_dataset(out).pixels:
+            assert np.nanmax(np.abs(px.ndvi)) <= 1.0
+
+    def test_cloud_filter_needs_sf(self, ws, tmp_path, capsys):
+        assert main(["gapfill", "--in", str(ws["ds"]), "--out", str(tmp_path / "lin"),
+                     "--method", "linear", "--cloud-filter"]) == 2
+        assert main(["detect", "--in", str(ws["ds"]), "--out", str(tmp_path / "ev.csv"),
+                     "--fill", "akima", "--cloud-filter"]) == 2
+        assert "cloud filter needs the sf fill" in capsys.readouterr().err
+
+    def test_sf_cloud_filter_replaces_what_cloudfilter_removes(self, ws, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"pipeline": {"cloud_filter_threshold": 0.05}}))
+        filled, cleaned = tmp_path / "filled", tmp_path / "cleaned"
+        model = str(ws["model"])
+        assert main(["gapfill", "--in", str(ws["ds"]), "--out", str(filled), "--method", "sf",
+                     "--model", model, "--cloud-filter", "--config", str(config)]) == 0
+        assert main(["cloudfilter", "--in", str(ws["ds"]), "--out", str(cleaned),
+                     "--model", model, "--config", str(config)]) == 0
+
+        def ndvi(path):
+            return np.stack([px.ndvi for px in sorted(read_dataset(path).pixels, key=lambda p: p.pixel_id)])
+
+        observed = ndvi(ws["ds"])
+        present = ~np.isnan(observed)
+        removed = present & np.isnan(ndvi(cleaned))
+        replaced = present & (ndvi(filled) != observed)
+        assert removed.any()
+        assert np.array_equal(replaced, removed)
+
+    def test_model_refuses_another_grid(self, ws, tmp_path):
+        scene = synth_dataset(SynthConfig(n_parcels=4, pixels_per_parcel=2, n_regions=1, seed=3,
+                                          grid=TemporalGrid(length=40)))
+        long = tmp_path / "long"
+        write_dataset(scene.dataset, long)
+        model = str(ws["model"])
+        assert main(["gapfill", "--in", str(long), "--out", str(tmp_path / "f"), "--method", "sf",
+                     "--model", model]) == 2
+        assert main(["cloudfilter", "--in", str(long), "--out", str(tmp_path / "c"), "--model", model]) == 2
+
 
 @pytest.fixture(scope="module")
 def events(ws):
@@ -219,6 +279,32 @@ class TestDetectAndEval:
         ]) == 0
         report = read_json(out / "report.json")
         assert len(report["bins"]["rows"]) == 4
+
+    def test_eval_of_header_only_events(self, tmp_path):
+        empty = tmp_path / "events.csv"
+        write_events([], empty)
+        out = tmp_path / "score"
+        assert main(["eval", "--pred", str(empty), "--truth", str(empty), "--out", str(out)]) == 0
+        overall = read_json(out / "report.json")["overall"]
+        assert (overall["tp"], overall["fp"], overall["fn"]) == (0, 0, 0)
+
+    def test_detect_runs_mda1_on_a_series_too_sparse_to_fill(self, tmp_path):
+        """mda1 accepts gaps, so a parcel with fewer observations than Akima
+        needs is detected unfilled; mda2 still needs a full series."""
+        from tests.test_core import make_sar
+
+        grid = TemporalGrid()
+        ndvi = np.full(grid.length, np.nan)
+        ndvi[[3, 10, 20]] = [0.7, 0.4, 0.6]
+        px = PixelSeries(0, 0, 0, ndvi, make_sar(grid.length))
+        sparse = tmp_path / "sparse"
+        write_dataset(Dataset(grid=grid, pixels=(px,), labels={0: ParcelLabel(0, ())}), sparse)
+        events = tmp_path / "events.csv"
+        assert main(["detect", "--in", str(sparse), "--out", str(events), "--raw",
+                     "--fill", "akima", "--algo", "mda1"]) == 0
+        assert read_events(events)[0].doys == (grid.doy(10),)
+        assert main(["detect", "--in", str(sparse), "--out", str(events), "--raw",
+                     "--fill", "akima", "--algo", "mda2"]) == 2
 
     def test_series_eval(self, ws, tmp_path):
         out = tmp_path / "series"

@@ -13,8 +13,10 @@ from gapfuse import (
     SynthConfig,
     TemporalGrid,
     TrainConfig,
+    cloud_filter,
     detect_parcel,
     dnn_detect,
+    gapfill_sf,
     mda1,
     mda2,
     parcel_series,
@@ -321,17 +323,18 @@ class TestDetectParcel:
         assert len(noisy.events) == 1
         assert cleaned.events == ()
 
-    def test_sf_fill_batch_matches_single(self, synth, sf_model):
+    @pytest.mark.parametrize("threshold", [None, 0.0])
+    def test_sf_fill_batch_matches_single(self, synth, sf_model, threshold):
         pids = list(synth.dataset.parcel_ids)[:6]
-        batch = parcel_fill_batch(synth.dataset, pids, sf_model)
+        batch = parcel_fill_batch(synth.dataset, pids, sf_model, cloud_filter_threshold=threshold)
         for pid in pids:
             agg = parcel_series(synth.dataset, pid)
-            from gapfuse import gapfill_sf
-
-            single = gapfill_sf(sf_model, agg)
+            single = gapfill_sf(sf_model, agg, threshold)
             assert np.allclose(batch[pid], single, atol=1e-6)
-            present = agg.present
-            assert np.array_equal(batch[pid][present], agg.ndvi[present])
+            kept = agg.present
+            if threshold is not None:
+                kept = kept & ~cloud_filter(sf_model, agg, threshold)
+            assert np.array_equal(batch[pid][kept], agg.ndvi[kept])
 
     def test_batch_cloud_filter_replaces_low_observations(self, synth, sf_model):
         pids = list(synth.dataset.parcel_ids)[:3]

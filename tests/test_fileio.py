@@ -240,6 +240,22 @@ class TestModelContainer:
         with pytest.raises(FileFormatError):
             load_model(p)
 
+    @pytest.mark.parametrize("key, value", [
+        ("arch", None), ("stats", None), ("grid", None), ("params", None), ("grid", "29"), ("params", 7),
+    ])
+    def test_missing_or_ill_typed_header_entry_rejected(self, tiny_model, tmp_path, key, value):
+        p = tmp_path / "m.gfm"
+        save_model(tiny_model, p)
+        magic, header, body = p.read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        if value is None:
+            del fields[key]
+        else:
+            fields[key] = value
+        p.write_bytes(magic + b"\n" + json.dumps(fields).encode() + b"\n" + body)
+        with pytest.raises(FileFormatError):
+            load_model(p)
+
 
 class TestRunConfig:
     def test_round_trip(self):

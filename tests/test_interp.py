@@ -177,6 +177,20 @@ class TestFillContract:
             assert np.array_equal(out[present], s[present])
             assert not np.isnan(out).any()
 
+    def test_fill_clamps_overshoot_to_ndvi_range(self):
+        """Akima and quadratic pieces overshoot 1 between knots near a
+        plateau; the fills clamp to [-1, 1] and keep observations bitwise."""
+        grid = self.grid()
+        s = np.array([0.1, 0.5, 0.9, np.nan, np.nan, np.nan, 0.95, 0.6, 0.3, 0.1])
+        gaps = np.isnan(s)
+        x, y = knots_from_series(s, grid)
+        for interpolate, fill in ((akima_interpolate, fill_akima), (quadratic_interpolate, fill_quadratic)):
+            raw = interpolate(x, y, grid.doys[gaps])
+            assert raw.max() > 1.0
+            out = fill(s, grid)
+            assert np.array_equal(out[~gaps], s[~gaps])
+            assert np.array_equal(out[gaps], np.clip(raw, -1.0, 1.0))
+
     def test_fill_does_not_mutate_input(self):
         grid = self.grid()
         s = self.series()

@@ -274,6 +274,19 @@ class TestPrediction:
         pred = predict_pixel(model, px)
         assert np.allclose(filled[flags], pred[flags])
 
+    def test_gapfill_with_filter_runs_the_net_once(self, tiny_model, synth, monkeypatch):
+        model, _ = tiny_model
+        calls = []
+        forward = SfNet.forward
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0].shape[0])
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(SfNet, "forward", counted)
+        gapfill_sf(model, synth.dataset.pixels[0], cloud_filter_threshold=0.0)
+        assert calls == [1]
+
     def test_cloud_filter_only_flags_present(self, tiny_model, synth):
         model, _ = tiny_model
         px = synth.dataset.pixels[1]
