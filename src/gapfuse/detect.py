@@ -161,7 +161,8 @@ def decode_probabilities(
 
 
 def dnn_predict(model: SfModel, series: np.ndarray) -> np.ndarray:
-    """Per-step event probabilities for fully-present series (N, T) or (T,)."""
+    """Per-step event probabilities for fully-present series (N, T) or (T,)
+    on the grid the detector was trained on."""
     series = np.asarray(series, dtype=np.float64)
     single = series.ndim == 1
     rows = series[None, :] if single else series

@@ -21,11 +21,13 @@ DEFAULT_DTYPE = np.float32
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Logistic function as 0.5 * (1 + tanh(x / 2)), computed in one buffer:
+    no overflow at any input, and a floating input keeps its dtype."""
+    out = np.array(x, dtype=np.result_type(x, 0.5))
+    out *= 0.5
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -75,9 +77,10 @@ class Dense(Layer):
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._x
-        self.dw += x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
-        self.db += dy.reshape(-1, dy.shape[-1]).sum(axis=0)
-        return dy @ self.w.T
+        dy2 = dy.reshape(-1, dy.shape[-1])  # copies once when dy is a strided slice
+        self.dw += x.reshape(-1, x.shape[-1]).T @ dy2
+        self.db += dy2.sum(axis=0)
+        return (dy2 @ self.w.T).reshape(*dy.shape[:-1], -1)
 
     def params(self):
         return [(f"{self.name}.w", self.w, self.dw), (f"{self.name}.b", self.b, self.db)]
@@ -123,8 +126,9 @@ class Conv1D(Layer):
         pad = (k - 1) // 2
         cols = self._cols
         w2 = self.w.reshape(k * c, -1)
-        self.dw += (cols.reshape(-1, k * c).T @ dy.reshape(-1, dy.shape[-1])).reshape(self.w.shape)
-        self.db += dy.reshape(-1, dy.shape[-1]).sum(axis=0)
+        dy2 = dy.reshape(-1, dy.shape[-1])
+        self.dw += (cols.reshape(-1, k * c).T @ dy2).reshape(self.w.shape)
+        self.db += dy2.sum(axis=0)
         dcols = dy @ w2.T  # (B,T,K*C)
         dxp = np.zeros((b, t + k - 1, c), dtype=dy.dtype)
         for j in range(k):
@@ -157,17 +161,24 @@ class MaxPool1D(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         b, t, c = x.shape
         p = self.pool
+        self._xshape = x.shape
         if p == 1:
             self._argmax = None
-            self._xshape = x.shape
             return x
         pad = (p - 1) // 2
         xp = np.full((b, t + p - 1, c), -np.inf, dtype=x.dtype)
         xp[:, pad:pad + t] = x
-        win = np.lib.stride_tricks.sliding_window_view(xp, p, axis=1)  # (B,T,C,P)
-        self._argmax = np.argmax(win, axis=3)
-        self._xshape = x.shape
-        return np.max(win, axis=3)
+        # running max over the p shifted views; a later offset takes over only
+        # when strictly larger, so ties keep the first maximal offset (as
+        # argmax does).  Offsets only grow, so the update is a max, not a where.
+        out = xp[:, :t].copy()
+        arg = np.zeros((b, t, c), dtype=np.int8)
+        for j in range(1, p):
+            view = xp[:, j:j + t]
+            np.maximum(arg, (view > out) * np.int8(j), out=arg)
+            np.maximum(out, view, out=out)
+        self._argmax = arg
+        return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         b, t, c = self._xshape
@@ -176,10 +187,8 @@ class MaxPool1D(Layer):
             return dy
         pad = (p - 1) // 2
         dxp = np.zeros((b, t + p - 1, c), dtype=dy.dtype)
-        bi = np.arange(b)[:, None, None]
-        ti = np.arange(t)[None, :, None] + self._argmax
-        ci = np.arange(c)[None, None, :]
-        np.add.at(dxp, (bi, ti, ci), dy)
+        for j in range(p):
+            dxp[:, j:j + t] += dy * (self._argmax == j)
         return dxp[:, pad:pad + t]
 
 
@@ -190,10 +199,10 @@ class ReLU(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0).astype(x.dtype)
+        return np.maximum(x, 0.0)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, dy, 0.0).astype(dy.dtype)
+        return dy * self._mask
 
 
 class Sigmoid(Layer):
@@ -224,7 +233,7 @@ class Clamp(Layer):
         return np.clip(x, self.lo, self.hi)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return np.where(self._inside, dy, 0.0).astype(dy.dtype)
+        return dy * self._inside
 
 
 class LstmCell(Layer):
@@ -283,64 +292,75 @@ class LstmCell(Layer):
     def b_o(self):
         return self.b[3 * self.hidden_size:]
 
-    def step(self, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-        """One recurrence step; returns (h_t, c_t) plus the gate cache."""
-        h = self.hidden_size
-        z = np.concatenate([h_prev, x_t], axis=1)
-        a = z @ self.w + self.b
-        f = sigmoid(a[:, :h])
-        i = sigmoid(a[:, h:2 * h])
-        g = np.tanh(a[:, 2 * h:3 * h])
-        o = sigmoid(a[:, 3 * h:])
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        return o * tc, c, (z, f, i, g, o, tc)
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        b, t, _ = x.shape
+        """x (B, T, C) -> h (B, T, H).  The input projection x_t @ W_x + b is
+        one matmul over all steps; only h_{t-1} @ W_h stays in the loop.
+
+        All four gates go through one tanh per step: gate = s * tanh(s * a) +
+        offset, with s = offset = 1/2 on the sigmoid gates f, i, o (sigmoid(a)
+        = 0.5 * (1 + tanh(a / 2))) and s = 1, offset = 0 on the candidate.
+        The inner scaling is folded into W_h and the projection."""
+        b, t, c = x.shape
         h = self.hidden_size
-        dtype = x.dtype
-        hs = np.zeros((t, b, h), dtype=dtype)
-        cs = np.zeros((t, b, h), dtype=dtype)
-        caches = []
-        h_prev = np.zeros((b, h), dtype=dtype)
-        c_prev = np.zeros((b, h), dtype=dtype)
+        scale = np.array([0.5, 0.5, 1.0, 0.5], dtype=self.w.dtype)[:, None]
+        offset = np.array([0.5, 0.5, 0.0, 0.5], dtype=self.w.dtype)[:, None]
+        w_h = (self.w[:h].reshape(h, 4, h) * scale).reshape(h, 4 * h)
+        x2 = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t * b, c)
+        acts = (x2 @ self.w[h:]).reshape(t, b, 4, h)  # pre-activations, then gates
+        acts += self.b.reshape(4, h)
+        acts *= scale
+        cs = np.empty((t, b, h), dtype=acts.dtype)
+        tcs = np.empty_like(cs)
+        hs = np.empty_like(cs)
         for ti in range(t):
-            h_prev, c_prev, cache = self.step(x[:, ti], h_prev, c_prev)
-            hs[ti] = h_prev
-            cs[ti] = c_prev
-            caches.append(cache)
-        self._cache = {"caches": caches, "cs": cs, "shape": x.shape}
+            a = acts[ti]
+            if ti:
+                a += (hs[ti - 1] @ w_h).reshape(b, 4, h)
+            np.tanh(a, out=a)
+            a *= scale
+            a += offset
+            np.multiply(a[:, 1], a[:, 2], out=cs[ti])
+            if ti:
+                cs[ti] += a[:, 0] * cs[ti - 1]
+            np.tanh(cs[ti], out=tcs[ti])
+            np.multiply(a[:, 3], tcs[ti], out=hs[ti])
+        self._cache = {"x2": x2, "acts": acts, "cs": cs, "tcs": tcs, "hs": hs}
         return hs.transpose(1, 0, 2)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        b, t, _ = self._cache["shape"]
-        h = self.hidden_size
-        caches = self._cache["caches"]
-        cs = self._cache["cs"]
-        dx = np.zeros(self._cache["shape"], dtype=dy.dtype)
-        dh_carry = np.zeros((b, h), dtype=dy.dtype)
-        dc_carry = np.zeros((b, h), dtype=dy.dtype)
+        cache = self._cache
+        x2, acts, cs, tcs, hs = cache["x2"], cache["acts"], cache["cs"], cache["tcs"], cache["hs"]
+        t, b, _, h = acts.shape
+        f, i, g, o = acts[:, :, 0], acts[:, :, 1], acts[:, :, 2], acts[:, :, 3]
+        # step-independent factors of the gate gradients, for all steps at once:
+        # dc_t = dc_carry + dh_t * dc_dh, da_o = dh_t * do_dh, and the f, i, C
+        # pre-activation gradients are dc_t times fic_dc
+        dc_dh = o * (1.0 - tcs * tcs)
+        do_dh = tcs * o * (1.0 - o)
+        fic_dc = np.empty((t, b, 3, h), dtype=acts.dtype)
+        fic_dc[0, :, 0] = 0.0  # c_{-1} = 0
+        fic_dc[1:, :, 0] = cs[:-1] * f[1:] * (1.0 - f[1:])
+        fic_dc[:, :, 1] = g * i * (1.0 - i)
+        fic_dc[:, :, 2] = i * (1.0 - g * g)
+        da = np.empty((t, b, 4, h), dtype=acts.dtype)
+        w_hT = self.w[:h].T
+        dyt = dy.transpose(1, 0, 2)
+        dh_carry = np.zeros((b, h), dtype=da.dtype)
+        dc = np.zeros((b, h), dtype=da.dtype)
         for ti in range(t - 1, -1, -1):
-            z, f, i, g, o, tc = caches[ti]
-            c_prev = cs[ti - 1] if ti > 0 else np.zeros((b, h), dtype=dy.dtype)
-            dh = dy[:, ti] + dh_carry
-            do = dh * tc
-            dc = dc_carry + dh * o * (1.0 - tc * tc)
-            df = dc * c_prev
-            di = dc * g
-            dg = dc * i
-            dc_carry = dc * f
-            da = np.concatenate(
-                [df * f * (1 - f), di * i * (1 - i), dg * (1 - g * g), do * o * (1 - o)],
-                axis=1,
-            )
-            self.dw += z.T @ da
-            self.db += da.sum(axis=0)
-            dz = da @ self.w.T
-            dh_carry = dz[:, :h]
-            dx[:, ti] = dz[:, h:]
-        return dx
+            dh = dyt[ti] + dh_carry
+            dc += dh * dc_dh[ti]
+            np.multiply(dh, do_dh[ti], out=da[ti, :, 3])
+            np.multiply(fic_dc[ti], dc[:, None, :], out=da[ti, :, :3])
+            if ti:
+                dc *= f[ti]
+                dh_carry = da[ti].reshape(b, 4 * h) @ w_hT
+        da2 = da.reshape(t * b, 4 * h)
+        self.dw[:h] += hs[:-1].reshape(-1, h).T @ da2[b:]
+        self.dw[h:] += x2.T @ da2
+        self.db += da2.sum(axis=0)
+        dx = da2 @ self.w[h:].T
+        return dx.reshape(t, b, -1).transpose(1, 0, 2)
 
     def params(self):
         return [(f"{self.name}.w", self.w, self.dw), (f"{self.name}.b", self.b, self.db)]

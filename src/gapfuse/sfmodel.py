@@ -487,7 +487,12 @@ def train(
 
 
 def predict_batch(model: SfModel, ndvi: np.ndarray, sar: np.ndarray, batch: int = 1024) -> np.ndarray:
-    """Model output for (N, T) NaN-coded NDVI plus (N, T, 8) radar stacks."""
+    """Model output for (N, T) NaN-coded NDVI plus (N, T, 8) radar stacks;
+    T must be the length of the grid the model was trained on."""
+    ndvi = np.asarray(ndvi)
+    if ndvi.ndim != 2 or ndvi.shape[1] != model.grid.length:
+        raise ValueError(f"series shape {ndvi.shape} does not match the model's grid length "
+                         f"{model.grid.length}")
     x, flags = encode_arrays(ndvi, sar, model.stats, model.arch)
     out = np.empty(ndvi.shape, dtype=np.float64)
     for lo in range(0, ndvi.shape[0], batch):

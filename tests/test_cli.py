@@ -234,6 +234,19 @@ class TestGapfill:
                      "--model", model]) == 2
         assert main(["cloudfilter", "--in", str(long), "--out", str(tmp_path / "c"), "--model", model]) == 2
 
+    def test_detector_refuses_another_grid(self, ws, tmp_path, capsys):
+        scene = synth_dataset(SynthConfig(n_parcels=4, pixels_per_parcel=2, n_regions=1, seed=3,
+                                          grid=TemporalGrid(length=40)))
+        long = tmp_path / "long"
+        write_dataset(scene.dataset, long)
+        detector = tmp_path / "det.gfm"
+        assert main(["train", "--in", str(ws["ds"]), "--out", str(detector), "--head", "detection",
+                     "--fill", "linear", "--epochs", "1", "--seed", "1"]) == 0
+        assert main(["detect", "--in", str(long), "--out", str(tmp_path / "ev.csv"), "--algo", "dnn",
+                     "--fill", "linear", "--dnn-model", str(detector)]) == 2
+        assert "grid length 29" in capsys.readouterr().err
+        assert not (tmp_path / "ev.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def events(ws):

@@ -250,6 +250,14 @@ class TestDnnDetector:
         with pytest.raises(ValueError):
             dnn_predict(model, s)
 
+    def test_refuses_series_off_the_detector_grid(self, trained):
+        (model, _), _ = trained
+        long = np.full((2, 40), 0.5)
+        with pytest.raises(ValueError, match="grid length 29"):
+            dnn_predict(model, long)
+        with pytest.raises(ValueError, match="grid length 29"):
+            dnn_detect(model, long[0], TemporalGrid(length=40))
+
     def test_deterministic(self):
         series, labels = toy_detection_data(n=24, seed=3)
         cfg = TrainConfig(max_epochs=2, batch_size=16, seed=5)

@@ -34,6 +34,10 @@ def batch(b=2, t=7, c=3, seed=1):
     return rng(seed).standard_normal((b, t, c))
 
 
+def logistic(a):
+    return 1.0 / (1.0 + np.exp(-a))
+
+
 class TestLayerGradients:
     def test_dense(self):
         assert grad_check(Dense(3, 4, rng(2)), batch()).passed
@@ -145,6 +149,41 @@ class TestPooling:
         want = [x[max(0, i - 2): i + 3].max() for i in range(15)]
         assert np.allclose(got, want)
 
+    @pytest.mark.parametrize("pool", [3, 5])
+    def test_ties_route_gradient_to_first_maximum(self, pool):
+        """Tied maxima, including the constant runs a zero-masked NDVI branch
+        gives after conv (every masked step outputs the bias): each output's
+        gradient goes to the first maximal position of its window."""
+        r = rng(11)
+        small_ints = r.integers(0, 3, size=(3, 13, 4)).astype(np.float64)
+        conv = Conv1D(2, 4, 3, rng(12), dtype=np.float64)
+        conv.b[:] = [0.3, -0.2, 0.0, 1.5]
+        masked_branch = conv.forward(np.zeros((2, 13, 2)))
+        masked_branch[1, 6:] += r.standard_normal((7, 4))  # a constant run, then free values
+        x = np.concatenate([small_ints, masked_branch])
+        layer = MaxPool1D(pool)
+        y = layer.forward(x)
+        dy = r.standard_normal(y.shape)
+        dx = layer.backward(dy)
+
+        b, t, c = x.shape
+        pad = (pool - 1) // 2
+        want_y = np.empty_like(x)
+        rows, steps, cols = [], [], []
+        for bi in range(b):
+            for ti in range(t):
+                lo, hi = max(0, ti - pad), min(t, ti + pad + 1)
+                for ci in range(c):
+                    win = x[bi, lo:hi, ci]
+                    want_y[bi, ti, ci] = win.max()
+                    rows.append(bi)
+                    steps.append(lo + int(np.flatnonzero(win == win.max())[0]))
+                    cols.append(ci)
+        want_dx = np.zeros_like(x)
+        np.add.at(want_dx, (np.array(rows), np.array(steps), np.array(cols)), dy.reshape(-1))
+        assert np.array_equal(y, want_y)
+        assert np.allclose(dx, want_dx, rtol=0.0, atol=1e-12)
+
 
 class TestConvolution:
     def test_same_length(self):
@@ -170,6 +209,38 @@ class TestConvolution:
             Conv1D(1, 1, 4, rng(0))
 
 
+def lstm_reference(w, b, x, dy):
+    """(h, dw, db, dx) of an LSTM run one step at a time, float64."""
+    n, t, _ = x.shape
+    hid = w.shape[1] // 4
+    h, c = np.zeros((n, hid)), np.zeros((n, hid))
+    hs, steps = [], []
+    for ti in range(t):
+        z = np.concatenate([h, x[:, ti]], axis=1)
+        a = z @ w + b
+        f, i = logistic(a[:, :hid]), logistic(a[:, hid:2 * hid])
+        g, o = np.tanh(a[:, 2 * hid:3 * hid]), logistic(a[:, 3 * hid:])
+        steps.append((z, f, i, g, o, c))
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        hs.append(h)
+    dw, db, dx = np.zeros_like(w), np.zeros_like(b), np.zeros_like(x)
+    dh_next, dc_next = np.zeros((n, hid)), np.zeros((n, hid))
+    for ti in range(t - 1, -1, -1):
+        z, f, i, g, o, c_prev = steps[ti]
+        tc = np.tanh(f * c_prev + i * g)
+        dh = dy[:, ti] + dh_next
+        dc = dc_next + dh * o * (1.0 - tc * tc)
+        da = np.concatenate([dc * c_prev * f * (1.0 - f), dc * g * i * (1.0 - i),
+                             dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
+        dw += z.T @ da
+        db += da.sum(axis=0)
+        dz = da @ w.T
+        dh_next, dx[:, ti] = dz[:, :hid], dz[:, hid:]
+        dc_next = dc * f
+    return np.stack(hs, axis=1), dw, db, dx
+
+
 class TestLstmCell:
     def test_forget_bias_initialized_to_one(self):
         cell = LstmCell(2, 3, rng(1))
@@ -183,14 +254,36 @@ class TestLstmCell:
 
     def test_zero_weight_recurrence(self):
         """With weights zeroed the gates reduce to their biases, which pins
-        the f,i,C,o ordering: c' = sigmoid(1)*c, h' = 0.5*tanh(c')."""
-        cell = LstmCell(2, 3, rng(3))
+        the f, i, C, o ordering: with four distinct biases,
+        c_t = sigmoid(b_f) * c_{t-1} + sigmoid(b_i) * tanh(b_C) and
+        h_t = sigmoid(b_o) * tanh(c_t)."""
+        cell = LstmCell(2, 3, rng(3), dtype=np.float64)
         cell.w[...] = 0.0
-        c_prev = np.full((1, 3), 0.4)
-        h, c, _ = cell.step(np.zeros((1, 2)), np.zeros((1, 3)), c_prev)
-        f = 1.0 / (1.0 + np.exp(-1.0))
-        assert np.allclose(c, f * 0.4)
-        assert np.allclose(h, 0.5 * np.tanh(f * 0.4))
+        cell.b_i[...] = 0.3
+        cell.b_C[...] = 0.8
+        cell.b_o[...] = -0.5
+        h = cell.forward(rng(4).standard_normal((1, 4, 2)))[0]
+        c, want = 0.0, []
+        for _ in range(4):
+            c = logistic(1.0) * c + logistic(0.3) * np.tanh(0.8)
+            want.append(logistic(-0.5) * np.tanh(c))
+        assert np.allclose(h, np.repeat(np.array(want)[:, None], 3, axis=1))
+
+    def test_matches_step_by_step_reference(self):
+        """forward/backward equal a plain per-step LSTM over [h_{t-1}, x_t]
+        with the gate blocks f, i, C, o of the fused weight."""
+        cell = LstmCell(3, 4, rng(8), dtype=np.float64)
+        cell.b[:] = rng(9).standard_normal(16)
+        x = batch(b=3, t=6, c=3, seed=10)
+        dy = rng(11).standard_normal((3, 6, 4))
+        y = cell.forward(x)
+        cell.zero_grads()
+        dx = cell.backward(dy)
+        want_y, want_dw, want_db, want_dx = lstm_reference(cell.w, cell.b, x, dy)
+        assert np.allclose(y, want_y)
+        assert np.allclose(cell.dw, want_dw)
+        assert np.allclose(cell.db, want_db)
+        assert np.allclose(dx, want_dx)
 
     def test_forward_shapes(self):
         cell = LstmCell(3, 5, rng(4))
@@ -295,6 +388,12 @@ class TestAdam:
 
 
 class TestSigmoidFunction:
+    def test_float32_matches_exact_logistic(self):
+        x = np.linspace(-30.0, 30.0, 6001, dtype=np.float32)
+        out = sigmoid(x)
+        assert out.dtype == np.float32
+        assert np.max(np.abs(out - logistic(x.astype(np.float64)))) < 1e-6
+
     def test_extreme_inputs_stable(self):
         out = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
         assert np.allclose(out, [0.0, 0.5, 1.0])

@@ -258,6 +258,13 @@ class TestPrediction:
         assert pred.shape == (8, GRID.length)
         assert np.all(pred >= -1.0) and np.all(pred <= 1.0)
 
+    def test_refuses_series_off_the_model_grid(self, tiny_model):
+        """A 29-step model must not score a 40-step block."""
+        model, _ = tiny_model
+        ndvi = np.full((2, 40), 0.5)
+        with pytest.raises(ValueError, match="grid length 29"):
+            predict_batch(model, ndvi, np.zeros((2, 40, len(SAR_CHANNELS))))
+
     def test_gapfill_preserves_observations(self, tiny_model, synth):
         model, _ = tiny_model
         px = synth.dataset.pixels[0]
