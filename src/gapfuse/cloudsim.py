@@ -296,9 +296,10 @@ def synth_dataset(cfg: SynthConfig) -> SynthResult:
         vv_db = reg["vv0"] + 0.8 * veg[None, :] - 0.5 * bsc_dip[None, :] + _ar1((p, grid.length), 0.35, 0.5, rng)
         vh_db = reg["vh0"] + 2.5 * veg[None, :] - bsc_dip[None, :] + _ar1((p, grid.length), 0.40, 0.5, rng)
 
+        sar = features.derive_channels(vv_db, vh_db, coh_vv, coh_vh)
         for j in range(p):
-            sar = features.derive_channels(vv_db[j], vh_db[j], coh_vv[j], coh_vh[j])
-            pixels.append(PixelSeries(pixel_id, parcel_id, region_id, observed[j], sar))
+            pixels.append(PixelSeries(pixel_id, parcel_id, region_id, observed[j],
+                                      {name: block[j] for name, block in sar.items()}))
             pixel_id += 1
         labels[parcel_id] = ParcelLabel(parcel_id, event_doys)
 

@@ -9,6 +9,7 @@ presence is a property of the data, not a side table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -29,10 +30,21 @@ SAR_CHANNELS: tuple[str, ...] = (
 CHANNELS: tuple[str, ...] = (NDVI_CHANNEL,) + SAR_CHANNELS
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.asarray(a, dtype=np.float64).copy()
-    out.flags.writeable = False
-    return out
+# the radar channels that must lie in [0, 1], as rows of SAR_CHANNELS
+_UNIT_RANGE_ROWS = [SAR_CHANNELS.index(c) for c in ("coh_vv", "coh_vh", "mixed_coherence")]
+
+
+def _checked_ndvi(ndvi: np.ndarray) -> np.ndarray:
+    """A read-only float64 copy of a 1-D NDVI series (NaN = absent) whose
+    present values lie in [-1, 1]."""
+    ndvi = np.asarray(ndvi, dtype=np.float64).copy()
+    ndvi.flags.writeable = False
+    if ndvi.ndim != 1:
+        raise ValueError("ndvi must be 1-D")
+    # NaN compares false, so absent steps pass
+    if (np.abs(ndvi) > 1.0).any():
+        raise ValueError("ndvi values must lie in [-1, 1]")
+    return ndvi
 
 
 @dataclass(frozen=True)
@@ -96,8 +108,9 @@ class PixelSeries:
 
     `ndvi` uses NaN at steps with no usable optical observation.  Radar
     channels are gap-free by construction (they come from weather-independent
-    acquisitions) and must not contain NaN.  Arrays are copied and frozen so
-    a series can be shared without defensive copying.
+    acquisitions) and must not contain NaN.  Arrays are copied and frozen, and
+    `sar` becomes a read-only mapping, so a series can be shared without
+    defensive copying.
     """
 
     pixel_id: int
@@ -107,31 +120,29 @@ class PixelSeries:
     sar: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        ndvi = _readonly(self.ndvi)
+        ndvi = _checked_ndvi(self.ndvi)
         object.__setattr__(self, "ndvi", ndvi)
-        if ndvi.ndim != 1:
-            raise ValueError("ndvi must be 1-D")
         n = ndvi.shape[0]
-        present = ndvi[~np.isnan(ndvi)]
-        if present.size and (np.min(present) < -1.0 or np.max(present) > 1.0):
-            raise ValueError("ndvi values must lie in [-1, 1]")
         if set(self.sar) != set(SAR_CHANNELS):
             missing = set(SAR_CHANNELS) - set(self.sar)
             extra = set(self.sar) - set(SAR_CHANNELS)
             raise ValueError(f"sar channels mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-        frozen: dict[str, np.ndarray] = {}
         for name in SAR_CHANNELS:
-            arr = _readonly(self.sar[name])
-            if arr.shape != (n,):
-                raise ValueError(f"channel {name} length {arr.shape} != ndvi length {n}")
-            if np.isnan(arr).any():
-                raise ValueError(f"channel {name} contains NaN")
-            frozen[name] = arr
-        for name in ("coh_vv", "coh_vh", "mixed_coherence"):
-            arr = frozen[name]
-            if np.min(arr) < 0.0 or np.max(arr) > 1.0:
-                raise ValueError(f"channel {name} must lie in [0, 1]")
-        object.__setattr__(self, "sar", frozen)
+            shape = np.shape(self.sar[name])
+            if shape != (n,):
+                raise ValueError(f"channel {name} length {shape} != ndvi length {n}")
+        # one (8, n) copy holds every channel; the checks run on the block
+        block = np.array([self.sar[name] for name in SAR_CHANNELS], dtype=np.float64)
+        nan_rows = np.isnan(block).any(axis=1)
+        if nan_rows.any():
+            raise ValueError(f"channel {SAR_CHANNELS[int(np.argmax(nan_rows))]} contains NaN")
+        bounded = block[_UNIT_RANGE_ROWS]
+        outside = ((bounded < 0.0) | (bounded > 1.0)).any(axis=1)
+        if outside.any():
+            name = SAR_CHANNELS[_UNIT_RANGE_ROWS[int(np.argmax(outside))]]
+            raise ValueError(f"channel {name} must lie in [0, 1]")
+        block.flags.writeable = False
+        object.__setattr__(self, "sar", MappingProxyType(dict(zip(SAR_CHANNELS, block))))
 
     @property
     def length(self) -> int:
@@ -143,7 +154,17 @@ class PixelSeries:
         return ~np.isnan(self.ndvi)
 
     def with_ndvi(self, ndvi: np.ndarray) -> "PixelSeries":
-        return PixelSeries(self.pixel_id, self.parcel_id, self.region_id, ndvi, self.sar)
+        """The same pixel with another NDVI series.
+
+        Only the new NDVI is checked: the radar channels were checked when
+        this series was made, and are read-only, so they are shared."""
+        ndvi = _checked_ndvi(ndvi)
+        if ndvi.shape != self.ndvi.shape:
+            raise ValueError(
+                f"channel {SAR_CHANNELS[0]} length {self.ndvi.shape} != ndvi length {ndvi.shape[0]}")
+        out = object.__new__(PixelSeries)
+        out.__dict__.update(self.__dict__, ndvi=ndvi)
+        return out
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,14 @@ partial file.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
+import operator
 import os
 import tempfile
 from dataclasses import dataclass, field, fields
@@ -76,15 +79,16 @@ class FileFormatError(ValueError):
         self.column = column
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a sibling temp file and rename, so the target is never
-    observed half-written."""
+@contextlib.contextmanager
+def _atomic_file(path, mode: str = "wb", **kwargs):
+    """Open a sibling temp file for writing and rename it onto `path` once
+    the block completes, so the target is never observed half-written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        with os.fdopen(fd, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -92,6 +96,11 @@ def atomic_write_bytes(path, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -126,37 +135,48 @@ def _check_header(path, got: list[str] | None, want: tuple[str, ...]) -> None:
         raise FileFormatError(path, f"bad header {got!r}, expected {list(want)!r}", row=1)
 
 
+# dataset.csv's radar columns and the channels they hold
 _RAW_TO_CHANNEL = {
     "sig_vv_db": "sigma0_vv_db",
     "sig_vh_db": "sigma0_vh_db",
     "coh_vv": "coh_vv",
     "coh_vh": "coh_vh",
 }
+_INT_COLUMNS = DATASET_HEADER[:5]
+# pixels formatted, and rows tokenized, per chunk: bounds the memory of the
+# per-cell strings.  A chunk of row lists this small is mostly freed before
+# the garbage collector promotes it, which keeps full collections rare (5 in
+# a 20,000-pixel read, against 11 with 2,048-row chunks)
+_WRITE_CHUNK_PIXELS = 512
+_READ_CHUNK_ROWS = 1024
+
+
+def _dataset_rows(pixels: list[PixelSeries], step_cells: list[str]) -> str:
+    """The dataset.csv rows of `pixels`, formatted a column at a time."""
+    keys = [f"{p.pixel_id},{p.parcel_id},{p.region_id},{s}" for p in pixels for s in step_cells]
+    ndvi = np.concatenate([p.ndvi for p in pixels])
+    ndvi_cells = list(map(repr, ndvi.tolist()))
+    for i in np.flatnonzero(np.isnan(ndvi)).tolist():
+        ndvi_cells[i] = ""
+    radar = [list(map(repr, np.concatenate([p.sar[c] for p in pixels]).tolist()))
+             for c in _RAW_TO_CHANNEL.values()]
+    return "".join(map("{}{},{},{},{},{}\n".format, keys, ndvi_cells, *radar))
 
 
 def write_dataset(dataset: Dataset, path) -> None:
     """Write `dataset.csv` and `labels.csv` under the directory `path`.
 
     Rows ordered by (pixel_id, step); only the four measured radar columns
-    are stored, the derived features being recomputed on read."""
+    are stored, the derived features being recomputed on read.  The rows are
+    formatted and written a chunk of pixels at a time."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(DATASET_HEADER)
-    for px in sorted(dataset.pixels, key=lambda p: p.pixel_id):
-        vv = px.sar["sigma0_vv_db"]
-        vh = px.sar["sigma0_vh_db"]
-        cvv = px.sar["coh_vv"]
-        cvh = px.sar["coh_vh"]
-        doys = dataset.grid.doys
-        for t in range(px.length):
-            ndvi = "" if np.isnan(px.ndvi[t]) else _fmt(px.ndvi[t])
-            w.writerow([
-                px.pixel_id, px.parcel_id, px.region_id, t, int(doys[t]),
-                ndvi, _fmt(vv[t]), _fmt(vh[t]), _fmt(cvv[t]), _fmt(cvh[t]),
-            ])
-    atomic_write_text(path / DATASET_FILE, buf.getvalue())
+    pixels = sorted(dataset.pixels, key=lambda p: p.pixel_id)
+    step_cells = [f"{t},{int(d)}," for t, d in enumerate(dataset.grid.doys)]
+    with _atomic_file(path / DATASET_FILE, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(DATASET_HEADER) + "\n")
+        for lo in range(0, len(pixels), _WRITE_CHUNK_PIXELS):
+            fh.write(_dataset_rows(pixels[lo:lo + _WRITE_CHUNK_PIXELS], step_cells))
 
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -170,12 +190,20 @@ def write_dataset(dataset: Dataset, path) -> None:
     atomic_write_text(path / LABELS_FILE, buf.getvalue())
 
 
-def _infer_grid(path, step_doys: dict[int, int]) -> TemporalGrid:
-    steps = sorted(step_doys)
-    if steps != list(range(len(steps))):
-        missing = sorted(set(range(max(steps) + 1)) - set(steps))
-        raise FileFormatError(path, f"steps are not contiguous from 0; missing {missing[:5]}")
-    doys = [step_doys[s] for s in steps]
+def _infer_grid(path, steps: list[int], doys: list[int]) -> TemporalGrid:
+    """The grid of the distinct `steps` (ascending, all >= 0) and the doy
+    each maps to."""
+    if steps[-1] != len(steps) - 1:
+        # the first five absent steps, found from the gaps between present
+        # ones: the largest step may be far too large to enumerate up to
+        missing: list[int] = []
+        prev = -1
+        for s in steps:
+            missing.extend(range(prev + 1, min(s, prev + 6 - len(missing))))
+            if len(missing) == 5:
+                break
+            prev = s
+        raise FileFormatError(path, f"steps are not contiguous from 0; missing {missing}")
     if len(doys) == 1:
         return TemporalGrid(start_doy=doys[0], step_days=6, length=1)
     diffs = {doys[i + 1] - doys[i] for i in range(len(doys) - 1)}
@@ -184,68 +212,164 @@ def _infer_grid(path, step_doys: dict[int, int]) -> TemporalGrid:
     return TemporalGrid(start_doy=doys[0], step_days=diffs.pop(), length=len(doys))
 
 
+def _convert_cells(convert, cells: tuple[str, ...], placeholder) -> tuple[list, np.ndarray]:
+    """`convert` (int or float) of every cell, and the mask of the cells it
+    rejects (`placeholder` stands in for their value)."""
+    bad = np.zeros(len(cells), dtype=bool)
+    try:
+        return list(map(convert, cells)), bad
+    except ValueError:
+        pass
+    values = []
+    for i, raw in enumerate(cells):
+        try:
+            values.append(convert(raw))
+        except ValueError:
+            values.append(placeholder)
+            bad[i] = True
+    return values, bad
+
+
+def _convert_column(name: str, cells: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """One dataset.csv column of a chunk as an array, and the mask of the
+    cells its parser (`_parse_int` for the id columns, `_parse_float` for the
+    others) rejects.  Ints past int64 give an object array; an empty NDVI
+    cell is NaN and passes."""
+    if name in _INT_COLUMNS:
+        values, bad = _convert_cells(int, cells, 0)
+        try:
+            return np.array(values, dtype=np.int64), bad
+        except OverflowError:
+            return np.array(values, dtype=object), bad
+    empty = np.zeros(len(cells), dtype=bool)
+    if name == "ndvi":
+        empty = np.fromiter(map(operator.not_, cells), bool, len(cells))
+        cells = [raw or "nan" for raw in cells]
+    values, bad = _convert_cells(float, cells, np.nan)
+    arr = np.array(values, dtype=np.float64)
+    return arr, bad | (~np.isfinite(arr) & ~empty)
+
+
+def _read_dataset_columns(csv_path, reader):
+    """Tokenize the data rows of dataset.csv a chunk at a time and convert
+    each column of a chunk in one pass.
+
+    Returns (columns, invalid, last, stop):
+    * columns: name -> array over the rows read (see `_convert_column`);
+    * invalid: name -> mask of the cells the column's parser rejects;
+    * last: (index of its first row, its raw columns) of the last chunk;
+    * stop: the error of the row that ended the reading early, a wrong field
+      count or a tokenizer error, or None.
+    Reading stops after a chunk with an invalid cell, since no later row can
+    hold the first error."""
+    width = len(DATASET_HEADER)
+    parts: dict[str, list[np.ndarray]] = {name: [] for name in DATASET_HEADER}
+    invalid: dict[str, list[np.ndarray]] = {name: [] for name in DATASET_HEADER}
+    n = 0
+    last: tuple[int, list[tuple[str, ...]]] = (0, [])
+    stop = None
+    while stop is None:
+        rows: list[list[str]] = []
+        try:
+            rows.extend(itertools.islice(reader, _READ_CHUNK_ROWS))
+        except csv.Error as e:
+            stop = FileFormatError(csv_path, f"unreadable CSV: {e}", n + len(rows) + 2)
+        wrong = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) != width)
+        if wrong.size:
+            k = int(wrong[0])
+            stop = FileFormatError(csv_path, f"expected {width} fields, got {len(rows[k])}", n + k + 2)
+            del rows[k:]
+        if not rows:
+            break
+        cells = list(zip(*rows))
+        last = (n, cells)
+        for name, col in zip(DATASET_HEADER, cells):
+            arr, bad = _convert_column(name, col)
+            parts[name].append(arr)
+            invalid[name].append(bad)
+        n += len(rows)
+        if any(masks[-1].any() for masks in invalid.values()):
+            break
+    columns = {name: np.concatenate(p) if p else np.zeros(0, np.int64) for name, p in parts.items()}
+    masks = {name: np.concatenate(p) if p else np.zeros(0, bool) for name, p in invalid.items()}
+    return columns, masks, last, stop
+
+
 def read_dataset(path) -> Dataset:
-    """Read a dataset directory written by `write_dataset`."""
+    """Read a dataset directory written by `write_dataset`.
+
+    Every check runs on whole columns.  Only when one fails is the offending
+    row looked up: the first in file order, and within it the first failing
+    check in column order, so the error names the row and column that a
+    row-by-row reader stopping at the first bad cell would name."""
     path = Path(path)
     csv_path = path / DATASET_FILE
     if not csv_path.exists():
         raise FileFormatError(csv_path, "file not found")
-    rows_by_pixel: dict[int, dict[int, tuple]] = {}
-    meta: dict[int, tuple[int, int]] = {}
-    step_doys: dict[int, int] = {}
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         _check_header(csv_path, header, DATASET_HEADER)
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != len(DATASET_HEADER):
-                raise FileFormatError(csv_path, f"expected {len(DATASET_HEADER)} fields, got {len(row)}", rownum)
-            pid = _parse_int(csv_path, rownum, "pixel_id", row[0])
-            parcel = _parse_int(csv_path, rownum, "parcel_id", row[1])
-            region = _parse_int(csv_path, rownum, "region_id", row[2])
-            step = _parse_int(csv_path, rownum, "step", row[3])
-            doy = _parse_int(csv_path, rownum, "doy", row[4])
-            if step < 0:
-                raise FileFormatError(csv_path, "negative step", rownum, "step")
-            if step in step_doys:
-                if step_doys[step] != doy:
-                    raise FileFormatError(
-                        csv_path, f"step {step} maps to both doy {step_doys[step]} and {doy}", rownum, "doy")
-            else:
-                step_doys[step] = doy
-            if row[5] == "":
-                ndvi = np.nan
-            else:
-                ndvi = _parse_float(csv_path, rownum, "ndvi", row[5])
-                if not -1.0 <= ndvi <= 1.0:
-                    raise FileFormatError(csv_path, f"ndvi {ndvi} outside [-1, 1]", rownum, "ndvi")
-            vv = _parse_float(csv_path, rownum, "sig_vv_db", row[6])
-            vh = _parse_float(csv_path, rownum, "sig_vh_db", row[7])
-            cvv = _parse_float(csv_path, rownum, "coh_vv", row[8])
-            cvh = _parse_float(csv_path, rownum, "coh_vh", row[9])
-            for col, v in (("coh_vv", cvv), ("coh_vh", cvh)):
-                if not 0.0 <= v <= 1.0:
-                    raise FileFormatError(csv_path, f"coherence {v} outside [0, 1]", rownum, col)
-            if pid in meta and meta[pid] != (parcel, region):
-                raise FileFormatError(
-                    csv_path, f"pixel {pid} changes parcel/region mid-file", rownum, "parcel_id")
-            meta[pid] = (parcel, region)
-            per_pixel = rows_by_pixel.setdefault(pid, {})
-            if step in per_pixel:
-                raise FileFormatError(csv_path, f"duplicate (pixel {pid}, step {step})", rownum, "step")
-            per_pixel[step] = (ndvi, vv, vh, cvv, cvh)
-    if not rows_by_pixel:
+        cols, invalid, last, stop = _read_dataset_columns(csv_path, reader)
+    pid, parcel, region, step, doy, ndvi = (cols[c] for c in DATASET_HEADER[:6])
+    pixel_ids, first_of_pixel, pixel = np.unique(pid, return_index=True, return_inverse=True)
+    steps, first_of_step, step_index = np.unique(step, return_index=True, return_inverse=True)
+    # rows by (pixel, step); lexsort is stable, so a repeated pair is flagged
+    # at its later rows in file order
+    order = np.lexsort((step_index, pixel))
+    repeat = np.zeros(pid.shape[0], dtype=bool)
+    sorted_pixel, sorted_step = pixel[order], step_index[order]
+    repeat[order[1:][(sorted_pixel[1:] == sorted_pixel[:-1]) & (sorted_step[1:] == sorted_step[:-1])]] = True
+    first_doy = doy[first_of_step][step_index]
+
+    # (mask of failing rows, column, message) in the order a row's cells are
+    # checked; a None message marks cells the column's parser rejects
+    checks = [(invalid[c], c, None) for c in _INT_COLUMNS]
+    checks += [
+        (step < 0, "step", lambda i: "negative step"),
+        (doy != first_doy, "doy", lambda i: f"step {step[i]} maps to both doy {first_doy[i]} and {doy[i]}"),
+        (invalid["ndvi"], "ndvi", None),
+        (np.abs(ndvi) > 1.0, "ndvi", lambda i: f"ndvi {ndvi[i]} outside [-1, 1]"),
+    ]
+    checks += [(invalid[c], c, None) for c in _RAW_TO_CHANNEL]
+    checks += [((cols[c] < 0.0) | (cols[c] > 1.0), c, lambda i, c=c: f"coherence {cols[c][i]} outside [0, 1]")
+               for c in ("coh_vv", "coh_vh")]
+    checks += [
+        ((parcel != parcel[first_of_pixel][pixel]) | (region != region[first_of_pixel][pixel]), "parcel_id",
+         lambda i: f"pixel {pid[i]} changes parcel/region mid-file"),
+        (repeat, "step", lambda i: f"duplicate (pixel {pid[i]}, step {step[i]})"),
+    ]
+    failing = np.logical_or.reduce([mask for mask, _, _ in checks])
+    if failing.any():
+        i = int(np.argmax(failing))
+        for mask, column, message in checks:
+            if mask[i]:
+                if message is None:
+                    parse = _parse_int if column in _INT_COLUMNS else _parse_float
+                    parse(csv_path, i + 2, column, last[1][DATASET_HEADER.index(column)][i - last[0]])
+                raise FileFormatError(csv_path, message(i), i + 2, column)
+    if stop is not None:
+        raise stop
+    if pid.shape[0] == 0:
         raise FileFormatError(csv_path, "no data rows")
-    grid = _infer_grid(csv_path, step_doys)
-    pixels = []
-    for pid in sorted(rows_by_pixel):
-        per_pixel = rows_by_pixel[pid]
-        if sorted(per_pixel) != list(range(grid.length)):
-            raise FileFormatError(csv_path, f"pixel {pid} does not cover every step of the grid")
-        cols = np.asarray([per_pixel[s] for s in range(grid.length)], dtype=np.float64)
-        sar = derive_channels(cols[:, 1], cols[:, 2], cols[:, 3], cols[:, 4])
-        parcel, region = meta[pid]
-        pixels.append(PixelSeries(pid, parcel, region, cols[:, 0], sar))
+    grid = _infer_grid(csv_path, steps.tolist(), doy[first_of_step].tolist())
+
+    # pixels in id order up to the first that misses a step (each step is in
+    # range(grid.length) and none repeats, so a full pixel has one row per step)
+    short = np.flatnonzero(np.bincount(pixel, minlength=pixel_ids.shape[0]) != grid.length)
+    n_full = int(short[0]) if short.size else pixel_ids.shape[0]
+    rows = order[:n_full * grid.length]
+
+    def block(column: np.ndarray) -> np.ndarray:
+        return column[rows].reshape(n_full, grid.length)
+
+    ndvi_block = block(ndvi)
+    sar = derive_channels(*(block(cols[c]) for c in _RAW_TO_CHANNEL))
+    ids = zip(pixel_ids.tolist(), parcel[first_of_pixel].tolist(), region[first_of_pixel].tolist())
+    pixels = [PixelSeries(p, parcel_id, region_id, ndvi_block[j], {name: b[j] for name, b in sar.items()})
+              for j, (p, parcel_id, region_id) in enumerate(itertools.islice(ids, n_full))]
+    if n_full < pixel_ids.shape[0]:
+        raise FileFormatError(csv_path, f"pixel {pixel_ids[n_full]} does not cover every step of the grid")
     labels = read_labels(path / LABELS_FILE) if (path / LABELS_FILE).exists() else {}
     return Dataset(grid=grid, pixels=tuple(pixels), labels=labels)
 

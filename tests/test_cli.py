@@ -72,6 +72,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "coh_vv" in err and "row 3" in err
 
+    @pytest.mark.parametrize("cell, message", [
+        ("1000000000000", "steps are not contiguous from 0; missing [1, 2, 3, 4, 5]"),
+        ("1" * 200_000, "unreadable CSV"),
+    ])
+    def test_malformed_dataset_exits_two(self, tmp_path, capsys, cell, message):
+        """A far-off step must not exhaust memory, and a field past the csv
+        module's size limit is bad input, not a crash."""
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "dataset.csv").write_text(
+            "pixel_id,parcel_id,region_id,step,doy,ndvi,sig_vv_db,sig_vh_db,coh_vv,coh_vh\n"
+            "0,0,0,0,100,0.5,-12.0,-18.0,0.4,0.3\n"
+            f"0,0,0,{cell},106,0.5,-12.0,-18.0,0.4,0.3\n")
+        rc = main(["preprocess", "--in", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["--version"])

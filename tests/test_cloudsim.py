@@ -10,6 +10,7 @@ from gapfuse import (
     TemporalGrid,
     apply_mask,
     bootstrap_mask,
+    derive_channels,
     parcel_series,
     synth_dataset,
     synth_mask_pool,
@@ -97,6 +98,15 @@ class TestSynthDataset:
         assert ds.n_pixels == 300
         assert len(ds.parcel_ids) == 60
         assert {px.region_id for px in ds.pixels} == {0, 1, 2}
+
+    def test_radar_channels_equal_per_pixel_derivation(self, result):
+        """The generator derives each parcel's channels as one block; every
+        pixel's channels equal a derivation of that pixel alone, bit for bit."""
+        for px in result.dataset.pixels[::7]:
+            alone = derive_channels(px.sar["sigma0_vv_db"], px.sar["sigma0_vh_db"],
+                                    px.sar["coh_vv"], px.sar["coh_vh"])
+            for name, arr in alone.items():
+                assert arr.tobytes() == px.sar[name].tobytes(), name
 
     def test_deterministic(self):
         cfg = SynthConfig(n_parcels=5, pixels_per_parcel=3, seed=21)

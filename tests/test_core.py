@@ -117,6 +117,32 @@ class TestPixelSeries:
         assert np.isnan(px2.ndvi[1])
         assert np.array_equal(px2.sar["rvi"], px.sar["rvi"])
 
+    def test_with_ndvi_checks_the_new_ndvi(self):
+        px = PixelSeries(1, 2, 3, np.zeros(2), make_sar(2))
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            px.with_ndvi(np.array([0.1, 1.5]))
+        with pytest.raises(ValueError, match="length"):
+            px.with_ndvi(np.zeros(3))
+        assert not px.with_ndvi(np.zeros(2)).ndvi.flags.writeable
+
+    def test_sar_is_read_only(self):
+        px = PixelSeries(1, 2, 3, np.zeros(2), make_sar(2))
+        with pytest.raises(TypeError):
+            px.sar["rvi"] = np.zeros(2)
+        with pytest.raises(ValueError):
+            px.sar["rvi"][0] = 1.0
+
+    def test_first_bad_channel_is_named(self):
+        sar = make_sar(2, coh_vh=np.array([0.3, np.nan]), rvi=np.array([np.nan, 1.0]),
+                       mixed_coherence=np.array([0.3, 1.5]))
+        with pytest.raises(ValueError, match="channel coh_vh contains NaN"):
+            PixelSeries(1, 2, 0, np.zeros(2), sar)
+        sar = make_sar(2, coh_vv=np.array([0.4, 0.5]), mixed_coherence=np.array([-0.1, 0.3]))
+        with pytest.raises(ValueError, match="channel mixed_coherence must lie"):
+            PixelSeries(1, 2, 0, np.zeros(2), sar)
+        with pytest.raises(ValueError, match=r"channel rvi length \(3,\) != ndvi length 2"):
+            PixelSeries(1, 2, 0, np.zeros(2), make_sar(2, rvi=np.ones(3)))
+
 
 class TestCloudMaskAndLabels:
     def test_mask_coverage(self):

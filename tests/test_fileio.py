@@ -8,11 +8,16 @@ import numpy as np
 import pytest
 
 from gapfuse import (
+    SAR_CHANNELS,
+    Dataset,
     Event,
     EventSet,
     FileFormatError,
+    ParcelLabel,
+    PixelSeries,
     RunConfig,
     SynthConfig,
+    TemporalGrid,
     TrainConfig,
     load_config,
     load_model,
@@ -28,7 +33,9 @@ from gapfuse import (
     write_manifest,
     write_mask_pools,
 )
+from gapfuse import fileio
 from gapfuse.fileio import (
+    DATASET_HEADER,
     atomic_write_text,
     read_json,
     read_labels,
@@ -131,6 +138,77 @@ class TestDatasetRoundTrip:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(FileFormatError):
             read_dataset(tmp_path / "ds")
+
+
+def _two_pixel_dataset():
+    def sar(vv, vh, cvv, cvh):
+        out = {c: np.zeros(2) for c in SAR_CHANNELS}
+        out.update(sigma0_vv_db=np.array(vv), sigma0_vh_db=np.array(vh),
+                   coh_vv=np.array(cvv), coh_vh=np.array(cvh))
+        return out
+
+    grid = TemporalGrid(start_doy=100, step_days=6, length=2)
+    return Dataset(grid=grid, pixels=(
+        PixelSeries(7, 3, 1, np.array([np.nan, -0.0]), sar([-12.5, 1e16], [-18.25, -1e-05], [0.1, 1e-05], [0.0, 1.0])),
+        PixelSeries(2, 4, 0, np.array([0.1, 1e-05]), sar([-0.0, -7.0], [-20.0, 3.0], [0.5, 0.25], [1e-05, 0.1])),
+    ), labels={3: ParcelLabel(3, (112, 106)), 4: ParcelLabel(4, ())})
+
+
+def _write_rows(directory, rows):
+    directory.mkdir(parents=True, exist_ok=True)
+    text = ",".join(DATASET_HEADER) + "\n" + "".join(",".join(map(str, r)) + "\n" for r in rows)
+    (directory / "dataset.csv").write_text(text)
+
+
+class TestDatasetFormat:
+    def test_golden_bytes(self, tmp_path):
+        """The exact text of both files: empty NDVI, -0.0, 1e-05, 0.1 and 1e16
+        written by repr, rows by (pixel_id, step), labels by (parcel, doy)."""
+        write_dataset(_two_pixel_dataset(), tmp_path)
+        assert (tmp_path / "dataset.csv").read_text() == (
+            "pixel_id,parcel_id,region_id,step,doy,ndvi,sig_vv_db,sig_vh_db,coh_vv,coh_vh\n"
+            "2,4,0,0,100,0.1,-0.0,-20.0,0.5,1e-05\n"
+            "2,4,0,1,106,1e-05,-7.0,3.0,0.25,0.1\n"
+            "7,3,1,0,100,,-12.5,-18.25,0.1,0.0\n"
+            "7,3,1,1,106,-0.0,1e+16,-1e-05,1e-05,1.0\n"
+        )
+        assert (tmp_path / "labels.csv").read_text() == "parcel_id,event_doy\n3,106\n3,112\n4,\n"
+        with np.errstate(over="ignore"):  # 1e16 dB has no finite linear power
+            again = read_dataset(tmp_path)
+        assert [px.pixel_id for px in again.pixels] == [2, 7]
+        assert again.pixels[1].ndvi.tobytes() == np.array([np.nan, -0.0]).tobytes()
+
+    def test_far_off_step_reports_missing_steps(self, tmp_path):
+        """A step of 10**12 is diagnosed from the steps present, without
+        enumerating every step up to it."""
+        _write_rows(tmp_path, [(0, 0, 0, 0, 100, 0.5, -12.0, -18.0, 0.4, 0.3),
+                               (0, 0, 0, 10 ** 12, 106, 0.5, -12.0, -18.0, 0.4, 0.3)])
+        with pytest.raises(FileFormatError, match=r"steps are not contiguous from 0; missing \[1, 2, 3, 4, 5\]"):
+            read_dataset(tmp_path)
+
+    def test_tokenizer_error_names_its_row(self, tmp_path):
+        """A field past the csv module's size limit is a format error at its
+        row, after the rows before it have been checked."""
+        row = [0, 0, 0, 0, 100, 0.5, -12.0, -18.0, 0.4, 0.3]
+        _write_rows(tmp_path, [row, row[:3] + [1, 106] + row[5:6] + ["1" * 200_000] + row[7:]])
+        with pytest.raises(FileFormatError, match="unreadable CSV") as err:
+            read_dataset(tmp_path)
+        assert err.value.row == 3
+        _write_rows(tmp_path, [row[:5] + ["x"] + row[6:], row[:6] + ["1" * 200_000] + row[7:]])
+        with pytest.raises(FileFormatError, match="not a number") as err:
+            read_dataset(tmp_path)
+        assert (err.value.row, err.value.column) == (2, "ndvi")
+
+    def test_ids_beyond_int64_are_kept(self, tmp_path):
+        big = 2 ** 70
+        _write_rows(tmp_path, [(1, 2, 3, 0, 100, 0.5, -12.0, -18.0, 0.4, 0.3),
+                               (1, 2, 3, 1, 106, 0.5, -12.0, -18.0, 0.4, 0.3),
+                               (big, -big, 3, 0, 100, 0.5, -12.0, -18.0, 0.4, 0.3),
+                               (big, -big, 3, 1, 106, "", -12.0, -18.0, 0.4, 0.3)])
+        ds = read_dataset(tmp_path)
+        assert [(px.pixel_id, px.parcel_id) for px in ds.pixels] == [(1, 2), (big, -big)]
+        write_dataset(ds, tmp_path / "again")
+        assert (tmp_path / "again" / "dataset.csv").read_bytes() == (tmp_path / "dataset.csv").read_bytes()
 
 
 class TestMaskPools:
@@ -380,6 +458,27 @@ class TestAtomicWrites:
     def test_no_stray_temp_files(self, tmp_path):
         atomic_write_text(tmp_path / "f.txt", "hello")
         assert os.listdir(tmp_path) == ["f.txt"]
+
+    def test_failed_dataset_write_keeps_the_old_file(self, synth, tmp_path, monkeypatch):
+        """The rows are streamed into the temp file; a failure part-way
+        leaves the previous dataset.csv whole and no temp file behind."""
+        write_dataset(synth.dataset, tmp_path)
+        before = (tmp_path / "dataset.csv").read_bytes()
+        rows = fileio._dataset_rows
+        calls = []
+
+        def fail_on_second_chunk(pixels, step_cells):
+            calls.append(len(pixels))
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return rows(pixels, step_cells)
+
+        monkeypatch.setattr(fileio, "_WRITE_CHUNK_PIXELS", 1)
+        monkeypatch.setattr(fileio, "_dataset_rows", fail_on_second_chunk)
+        with pytest.raises(OSError, match="disk full"):
+            write_dataset(synth.dataset, tmp_path)
+        assert (tmp_path / "dataset.csv").read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["dataset.csv", "labels.csv"]
 
     def test_overwrite_in_place(self, tmp_path):
         p = tmp_path / "f.txt"
