@@ -61,7 +61,7 @@ from .fileio import (
     read_mask_pools,
     write_table_csv,
 )
-from .preprocess import passes_density, remove_outliers
+from .preprocess import density_mask, remove_outliers
 from .sfmodel import FILL_METHODS, assemble_training_set, fill_batch, sar_stack, train
 
 
@@ -148,16 +148,11 @@ def _cmd_preprocess(args, config: RunConfig, run: _Run) -> None:
     run.record_input(args.inp)
     ds = _load_dataset(args.inp)
     out = Path(args.out)
-    removed = 0
-    compliant = 0
-    kept = []
-    for px in ds.pixels:
-        cleaned = remove_outliers(px.ndvi, ds.grid, config.outlier)
-        removed += int(px.present.sum() - np.sum(~np.isnan(cleaned)))
-        ok = passes_density(cleaned, ds.grid, config.density)
-        compliant += int(ok)
-        if ok or not args.drop_noncompliant:
-            kept.append(px.with_ndvi(cleaned))
+    ndvi = np.array([px.ndvi for px in ds.pixels]).reshape(-1, ds.grid.length)
+    cleaned = remove_outliers(ndvi, ds.grid, config.outlier)
+    ok = density_mask(cleaned, ds.grid, config.density)
+    kept = [px.with_ndvi(row) for px, row, good in zip(ds.pixels, cleaned, ok)
+            if good or not args.drop_noncompliant]
     if not kept:
         raise ValueError("no pixels left after density filtering")
     surviving = {px.parcel_id for px in kept}
@@ -166,8 +161,8 @@ def _cmd_preprocess(args, config: RunConfig, run: _Run) -> None:
     report = {
         "n_pixels_in": ds.n_pixels,
         "n_pixels_out": len(kept),
-        "n_outlier_points_removed": removed,
-        "n_density_compliant": compliant,
+        "n_outlier_points_removed": int(np.sum(~np.isnan(ndvi)) - np.sum(~np.isnan(cleaned))),
+        "n_density_compliant": int(ok.sum()),
     }
     write_json(out / "preprocess_report.json", report)
     run.wrote(out / "preprocess_report.json")

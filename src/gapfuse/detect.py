@@ -286,8 +286,10 @@ def parcel_block(
     """(N, T) NDVI and (N, T, 8) radar stacks of parcel aggregates; `outlier`
     (when given) removes downward spikes from the NDVI."""
     aggs = [parcel_series(dataset, pid) for pid in parcel_ids]
-    ndvi = [a.ndvi if outlier is None else remove_outliers(a.ndvi, dataset.grid, outlier) for a in aggs]
-    return np.stack(ndvi), np.stack([sar_stack(a) for a in aggs])
+    ndvi = np.stack([a.ndvi for a in aggs])
+    if outlier is not None:
+        ndvi = remove_outliers(ndvi, dataset.grid, outlier)
+    return ndvi, np.stack([sar_stack(a) for a in aggs])
 
 
 def detect_parcel(

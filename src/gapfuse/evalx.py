@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloudsim import MaskPool
-from .core import Dataset, parcel_series
-from .detect import EventSet, Mda1Params, Mda2Params, mda1, mda2
+from .core import Dataset
+from .detect import EventSet, Mda1Params, Mda2Params, mda1, mda2, parcel_block
 from .interp import MIN_KNOTS_AKIMA
 from .preprocess import DensityCriteria, OutlierParams, remove_outliers
 from .sfmodel import (
@@ -21,7 +21,6 @@ from .sfmodel import (
     assemble_training_set,
     fill_batch,
     sar_group_channels,
-    sar_stack,
     train,
 )
 
@@ -330,8 +329,6 @@ def hidden_event_experiment(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     eligible = [p for p in sorted(dataset.labels) if len(dataset.labels[p].event_doys) == 1]
     hidden: list[tuple[int, int, int, int]] = []
-    rows: list[np.ndarray] = []
-    sars: list[np.ndarray] = []
     for pid in eligible:
         e = dataset.labels[pid].event_doys[0]
         before = np.flatnonzero(grid.doys < e)
@@ -339,18 +336,15 @@ def hidden_event_experiment(
             continue
         g0 = int(before[-1])
         length = int(rng.choice(np.asarray(gap_lengths)))
-        gap_end = min(g0 + length, grid.length)
-        agg = parcel_series(dataset, pid)
-        ndvi = agg.ndvi.copy()
-        ndvi[g0:gap_end] = np.nan
-        if outlier is not None:
-            ndvi = remove_outliers(ndvi, grid, outlier)
-        hidden.append((pid, e, g0, gap_end - g0))
-        rows.append(ndvi)
-        sars.append(sar_stack(agg))
+        hidden.append((pid, e, g0, min(length, grid.length - g0)))
     if not hidden:
         raise ValueError("no eligible single-event parcels")
-    filled, _ = fill_batch(np.stack(rows), grid, fill_method, model, np.stack(sars))
+    ndvi, sar = parcel_block(dataset, [h[0] for h in hidden])
+    for row, (_, _, g0, length) in zip(ndvi, hidden):
+        row[g0:g0 + length] = np.nan
+    if outlier is not None:
+        ndvi = remove_outliers(ndvi, grid, outlier)
+    filled, _ = fill_batch(ndvi, grid, fill_method, model, sar)
     records = [HiddenEventRecord(*h, run_detector(row).doys) for h, row in zip(hidden, filled)]
 
     def aggregate(tol: int) -> MatchResult:

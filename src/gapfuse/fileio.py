@@ -128,6 +128,20 @@ def _parse_float(path, row: int, column: str, raw: str) -> float:
     return v
 
 
+def _csv_rows(path, reader):
+    """(row number, fields) for each row of a `csv.reader`; a tokenizer
+    error (such as a field past the module's size limit) is a
+    `FileFormatError` at its row."""
+    for rownum in itertools.count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as e:
+            raise FileFormatError(path, f"unreadable CSV: {e}", rownum) from e
+        yield rownum, row
+
+
 def _check_header(path, got: list[str] | None, want: tuple[str, ...]) -> None:
     if got is None:
         raise FileFormatError(path, "empty file, expected a header row")
@@ -308,7 +322,7 @@ def read_dataset(path) -> Dataset:
         raise FileFormatError(csv_path, "file not found")
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        _, header = next(_csv_rows(csv_path, reader), (1, None))
         _check_header(csv_path, header, DATASET_HEADER)
         cols, invalid, last, stop = _read_dataset_columns(csv_path, reader)
     pid, parcel, region, step, doy, ndvi = (cols[c] for c in DATASET_HEADER[:6])
@@ -378,10 +392,10 @@ def read_labels(path) -> dict[int, ParcelLabel]:
     path = Path(path)
     doys: dict[int, list[int]] = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _csv_rows(path, csv.reader(fh))
+        _, header = next(rows, (1, None))
         _check_header(path, header, LABELS_HEADER)
-        for rownum, row in enumerate(reader, start=2):
+        for rownum, row in rows:
             if len(row) != 2:
                 raise FileFormatError(path, f"expected 2 fields, got {len(row)}", rownum)
             pid = _parse_int(path, rownum, "parcel_id", row[0])
@@ -408,8 +422,8 @@ def write_mask_pools(pools: Mapping[int, MaskPool], path) -> None:
 def read_mask_pools(path) -> dict[int, MaskPool]:
     path = Path(path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _csv_rows(path, csv.reader(fh))
+        _, header = next(rows, (1, None))
         if header is None or len(header) < 3 or header[:2] != ["mask_id", "region_id"]:
             raise FileFormatError(path, f"bad header {header!r}", row=1)
         t = len(header) - 2
@@ -417,7 +431,7 @@ def read_mask_pools(path) -> dict[int, MaskPool]:
             raise FileFormatError(path, "bit columns must be bit_0..bit_{T-1} in order", row=1)
         by_region: dict[int, list[CloudMask]] = {}
         seen: set[int] = set()
-        for rownum, row in enumerate(reader, start=2):
+        for rownum, row in rows:
             if len(row) != t + 2:
                 raise FileFormatError(path, f"expected {t + 2} fields, got {len(row)}", rownum)
             mid = _parse_int(path, rownum, "mask_id", row[0])
@@ -454,10 +468,10 @@ def read_events(path) -> dict[int, EventSet]:
     path = Path(path)
     collected: dict[int, list[Event]] = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _csv_rows(path, csv.reader(fh))
+        _, header = next(rows, (1, None))
         _check_header(path, header, EVENTS_HEADER)
-        for rownum, row in enumerate(reader, start=2):
+        for rownum, row in rows:
             if len(row) != 3:
                 raise FileFormatError(path, f"expected 3 fields, got {len(row)}", rownum)
             pid = _parse_int(path, rownum, "parcel_id", row[0])

@@ -5,6 +5,11 @@ Outlier removal deletes isolated downward spikes: a value far below both of
 its nearest present neighbors, where the neighbors themselves stay level or
 rise.  Genuine management events (a drop followed by slow regrowth) fail the
 rebound condition and survive; senescence declines fail it too.
+
+`remove_outliers` and `build_target` take a NaN-coded (T,) series or an
+(N, T) block of them, and `density_mask` screens an (N, T) block; each runs
+as array operations over all rows at once.  `passes_density` is the
+one-series form of the screen.
 """
 
 from __future__ import annotations
@@ -65,35 +70,43 @@ class DensityCriteria:
 def remove_outliers(
     ndvi: np.ndarray, grid: TemporalGrid, params: OutlierParams = OutlierParams()
 ) -> np.ndarray:
-    """Return a copy with downward-spike steps set absent.
+    """Return a copy of a (T,) series or (N, T) block with downward-spike
+    steps set absent.
 
     A present step t with nearest present neighbors t- and t+ is removed iff
         S(t-) - S(t) >= alpha  and  S(t+) - S(t) >= beta
         and  S(t+) - S(t-) >= gamma.
-    Single left-to-right pass over the original values: removals never feed
-    back into later neighbor lookups.  Values are never altered, only
-    deleted, so the surviving set is a subset of the input's present set.
+    Single pass over the original values: removals never feed back into
+    later neighbor lookups.  Values are never altered, only deleted, so the
+    surviving set is a subset of the input's present set.
     """
     ndvi = np.asarray(ndvi, dtype=np.float64)
-    if ndvi.shape != (grid.length,):
+    if ndvi.ndim not in (1, 2) or ndvi.shape[-1] != grid.length:
         raise ValueError(f"series length {ndvi.shape} != grid length {grid.length}")
-    present_idx = np.flatnonzero(~np.isnan(ndvi))
-    out = ndvi.copy()
-    if present_idx.size < 3:
-        return out
-    doys = grid.doys.astype(np.float64)
-    for k in range(1, present_idx.size - 1):
-        lo, t, hi = present_idx[k - 1], present_idx[k], present_idx[k + 1]
-        drop = ndvi[lo] - ndvi[t]
-        rise = ndvi[hi] - ndvi[t]
-        straddle = ndvi[hi] - ndvi[lo]
-        if params.per_day:
-            drop /= doys[t] - doys[lo]
-            rise /= doys[hi] - doys[t]
-            straddle /= doys[hi] - doys[lo]
-        if drop >= params.alpha and rise >= params.beta and straddle >= params.gamma:
-            out[t] = np.nan
-    return out
+    block = ndvi.reshape(-1, grid.length)
+    out = block.copy()
+    present = ~np.isnan(block)
+    t = grid.length
+    steps = np.arange(t)
+    # nearest present step strictly before / after each step; -1 / t when none
+    lo = np.full(block.shape, -1)
+    lo[:, 1:] = np.maximum.accumulate(np.where(present, steps, -1), axis=1)[:, :-1]
+    hi = np.full(block.shape, t)
+    hi[:, :-1] = np.minimum.accumulate(np.where(present, steps, t)[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    rows, cols = np.nonzero(present & (lo >= 0) & (hi < t))
+    lo, hi = lo[rows, cols], hi[rows, cols]
+    value = block[rows, cols]
+    drop = block[rows, lo] - value
+    rise = block[rows, hi] - value
+    straddle = block[rows, hi] - block[rows, lo]
+    if params.per_day:
+        doys = grid.doys.astype(np.float64)
+        drop /= doys[cols] - doys[lo]
+        rise /= doys[hi] - doys[cols]
+        straddle /= doys[hi] - doys[lo]
+    spike = (drop >= params.alpha) & (rise >= params.beta) & (straddle >= params.gamma)
+    out[rows[spike], cols[spike]] = np.nan
+    return out.reshape(ndvi.shape)
 
 
 def coverage(ndvi: np.ndarray) -> float:
@@ -104,18 +117,19 @@ def coverage(ndvi: np.ndarray) -> float:
     return float(np.mean(np.isnan(ndvi)))
 
 
-def _max_run(flags: np.ndarray) -> int:
-    run = best = 0
-    for f in flags:
-        run = run + 1 if f else 0
-        best = max(best, run)
-    return best
+def _longest_runs(flags: np.ndarray) -> np.ndarray:
+    """Length of the longest run of True in each row of an (N, T) array."""
+    steps = np.arange(flags.shape[1])
+    # the last False at or before each step; the run ending there is the gap
+    last_false = np.maximum.accumulate(np.where(flags, -1, steps), axis=1)
+    return (steps - last_false).max(axis=1)
 
 
-def passes_density(
-    ndvi: np.ndarray, grid: TemporalGrid, criteria: DensityCriteria = DensityCriteria()
-) -> bool:
-    """True iff the series is dense enough to serve as a training sample.
+def density_mask(
+    block: np.ndarray, grid: TemporalGrid, criteria: DensityCriteria = DensityCriteria()
+) -> np.ndarray:
+    """(N,) flags: which rows of an (N, T) block are dense enough to serve
+    as training samples.
 
     Four rules: longest absent run inside the summer window, total absences
     inside the window, longest absent run outside it, and overall coverage.
@@ -123,26 +137,35 @@ def passes_density(
     the summer rules and its outside portion to the off-summer rule, which
     keeps the predicate monotone in presence.
     """
-    ndvi = np.asarray(ndvi, dtype=np.float64)
-    if ndvi.shape != (grid.length,):
-        raise ValueError(f"series length {ndvi.shape} != grid length {grid.length}")
-    absent = np.isnan(ndvi)
+    block = np.asarray(block, dtype=np.float64)
+    if block.ndim != 2 or block.shape[1] != grid.length:
+        raise ValueError(f"block shape {block.shape} does not match grid length {grid.length}")
+    absent = np.isnan(block)
     doys = grid.doys
     lo, hi = criteria.summer_window
     summer = (doys >= lo) & (doys <= hi)
-    if int(np.sum(absent & summer)) > criteria.max_total_summer:
-        return False
-    if _max_run(absent & summer) > criteria.max_consecutive_summer:
-        return False
-    if _max_run(absent & ~summer) > criteria.max_consecutive_other:
-        return False
-    if coverage(ndvi) > criteria.max_overall_coverage:
-        return False
-    return True
+    return (
+        ((absent & summer).sum(axis=1) <= criteria.max_total_summer)
+        & (_longest_runs(absent & summer) <= criteria.max_consecutive_summer)
+        & (_longest_runs(absent & ~summer) <= criteria.max_consecutive_other)
+        & (absent.sum(axis=1) / grid.length <= criteria.max_overall_coverage)
+    )
+
+
+def passes_density(
+    ndvi: np.ndarray, grid: TemporalGrid, criteria: DensityCriteria = DensityCriteria()
+) -> bool:
+    """True iff a (T,) series is dense enough to serve as a training sample
+    (the rules of `density_mask`)."""
+    ndvi = np.asarray(ndvi, dtype=np.float64)
+    if ndvi.shape != (grid.length,):
+        raise ValueError(f"series length {ndvi.shape} != grid length {grid.length}")
+    return bool(density_mask(ndvi[None], grid, criteria)[0])
 
 
 def build_target(ndvi: np.ndarray, grid: TemporalGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Fill a density-compliant series into a full training target.
+    """Fill a density-compliant (T,) series or (N, T) block into full
+    training targets.
 
     Returns (target, observed): `target` is fully present with gaps filled
     by Akima interpolation; `observed` flags the steps backed by a real

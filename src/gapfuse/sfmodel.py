@@ -39,7 +39,7 @@ from .neural import (
     weighted_mse,
     weighted_mse_grad,
 )
-from .preprocess import DensityCriteria, OutlierParams, build_target, passes_density, remove_outliers
+from .preprocess import DensityCriteria, OutlierParams, build_target, density_mask, remove_outliers
 
 NDVI_SENTINEL = -10.0
 
@@ -331,42 +331,41 @@ def assemble_training_set(
     maps classes to the configured weights, so one assembly can serve
     several weight settings."""
     grid = dataset.grid
-    ndvi_rows, sar_rows, tgt_rows, cls_rows = [], [], [], []
-    pix_ids, par_ids, reg_ids, covs = [], [], [], []
+    pixels: list[PixelSeries] = []
+    bits: list[np.ndarray] = []
+    coverages: list[float] = []
     for parcel_id in dataset.parcel_ids:
         members = dataset.parcel_pixels(parcel_id)
+        # one draw per parcel in sorted order, whether or not a pixel is kept
         mask = bootstrap_mask(pools[members[0].region_id], rng)
-        for px in members:
-            cleaned = remove_outliers(px.ndvi, grid, outlier)
-            if not passes_density(cleaned, grid, density):
-                continue
-            target, observed = build_target(cleaned, grid)
-            hidden = observed & mask.bits
-            ndvi_in = cleaned.copy()
-            ndvi_in[mask.bits] = np.nan
-            cls = np.zeros(grid.length, dtype=np.int8)
-            cls[observed & ~mask.bits] = 1
-            cls[hidden] = 2
-            ndvi_rows.append(ndvi_in)
-            sar_rows.append(sar_stack(px))
-            tgt_rows.append(target)
-            cls_rows.append(cls)
-            pix_ids.append(px.pixel_id)
-            par_ids.append(px.parcel_id)
-            reg_ids.append(px.region_id)
-            covs.append(mask.coverage)
-    if not ndvi_rows:
+        pixels.extend(members)
+        bits.extend([mask.bits] * len(members))
+        coverages.extend([mask.coverage] * len(members))
+    ndvi = np.array([px.ndvi for px in pixels]).reshape(-1, grid.length)
+    cleaned = remove_outliers(ndvi, grid, outlier)
+    keep = np.flatnonzero(density_mask(cleaned, grid, density))
+    if keep.size == 0:
         raise ValueError("no density-compliant pixels to train on")
+    pixels = [pixels[k] for k in keep]
+    cleaned = cleaned[keep]
+    hide = np.array(bits)[keep]
+    target, observed = build_target(cleaned, grid)
+    ndvi_in = cleaned.copy()
+    ndvi_in[hide] = np.nan
+    cls = np.zeros(cleaned.shape, dtype=np.int8)
+    cls[observed & ~hide] = 1
+    cls[observed & hide] = 2
+    sar = np.array([[px.sar[c] for c in SAR_CHANNELS] for px in pixels]).transpose(0, 2, 1)
     return TrainingSet(
         grid=grid,
-        ndvi_in=np.stack(ndvi_rows),
-        sar=np.stack(sar_rows),
-        target=np.stack(tgt_rows),
-        weight_class=np.stack(cls_rows),
-        pixel_ids=np.asarray(pix_ids),
-        parcel_ids=np.asarray(par_ids),
-        region_ids=np.asarray(reg_ids),
-        mask_coverages=np.asarray(covs),
+        ndvi_in=ndvi_in,
+        sar=np.ascontiguousarray(sar),
+        target=target,
+        weight_class=cls,
+        pixel_ids=np.asarray([px.pixel_id for px in pixels]),
+        parcel_ids=np.asarray([px.parcel_id for px in pixels]),
+        region_ids=np.asarray([px.region_id for px in pixels]),
+        mask_coverages=np.asarray(coverages)[keep],
     )
 
 
@@ -533,8 +532,9 @@ def fill_batch(
         filled = ndvi.copy()
         if method in INTERPOLATORS:
             fill, min_knots = INTERPOLATORS[method]
-            for k in np.flatnonzero(present.sum(axis=1) >= min_knots):
-                filled[k] = fill(ndvi[k], grid)
+            rows = present.sum(axis=1) >= min_knots
+            if rows.any():
+                filled[rows] = fill(ndvi[rows], grid)
         elif method != "none":
             raise ValueError(f"unknown fill method {method!r}")
         return filled, flagged

@@ -89,6 +89,33 @@ class TestExitCodes:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_file", ["labels", "events", "masks", "dataset_header"])
+    def test_oversized_csv_field_exits_two(self, ws, events, tmp_path, capsys, bad_file):
+        """A field past the csv module's size limit in labels.csv, events.csv,
+        masks.csv or the header of dataset.csv is bad input at its row, not
+        a crash."""
+        big = "1" * 200_000
+        bad = tmp_path / f"{bad_file}.csv"
+        out = str(tmp_path / "o")
+        row = "row 1" if bad_file == "dataset_header" else "row 2"
+        if bad_file == "dataset_header":
+            (tmp_path / "ds").mkdir()
+            (tmp_path / "ds" / "dataset.csv").write_text(f"pixel_id,{big}\n")
+            argv = ["preprocess", "--in", str(tmp_path / "ds"), "--out", out]
+        elif bad_file == "labels":
+            bad.write_text(f"parcel_id,event_doy\n{big},\n")
+            argv = ["eval", "--pred", str(events), "--truth", str(bad), "--out", out]
+        elif bad_file == "events":
+            bad.write_text(f"parcel_id,event_doy,score\n{big},,\n")
+            argv = ["eval", "--pred", str(bad), "--truth", str(ws["ds"] / "labels.csv"), "--out", out]
+        else:
+            header = (ws["ds"] / "masks.csv").read_text().splitlines()[0]
+            bad.write_text(f"{header}\n{big}\n")
+            argv = ["train", "--in", str(ws["ds"]), "--masks", str(bad), "--out", out, "--epochs", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "unreadable CSV" in err and row in err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["--version"])
