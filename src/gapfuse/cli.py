@@ -22,7 +22,7 @@ from .cloudsim import synth_dataset, synth_mask_pool
 from .core import Dataset, ParcelLabel
 from .detect import (
     ALGORITHMS,
-    detect_parcel,
+    detect_parcels,
     labels_to_binary,
     parcel_block,
     train_dnn_detector,
@@ -62,7 +62,7 @@ from .fileio import (
     write_table_csv,
 )
 from .preprocess import density_mask, remove_outliers
-from .sfmodel import FILL_METHODS, assemble_training_set, fill_batch, sar_stack, train
+from .sfmodel import FILL_METHODS, assemble_training_set, fill_batch, train
 
 
 class _Run:
@@ -148,19 +148,19 @@ def _cmd_preprocess(args, config: RunConfig, run: _Run) -> None:
     run.record_input(args.inp)
     ds = _load_dataset(args.inp)
     out = Path(args.out)
-    ndvi = np.array([px.ndvi for px in ds.pixels]).reshape(-1, ds.grid.length)
+    ndvi = ds.ndvi
     cleaned = remove_outliers(ndvi, ds.grid, config.outlier)
     ok = density_mask(cleaned, ds.grid, config.density)
-    kept = [px.with_ndvi(row) for px, row, good in zip(ds.pixels, cleaned, ok)
-            if good or not args.drop_noncompliant]
-    if not kept:
-        raise ValueError("no pixels left after density filtering")
-    surviving = {px.parcel_id for px in kept}
-    labels = {p: l for p, l in ds.labels.items() if p in surviving}
-    _write_dataset(run, Dataset(grid=ds.grid, pixels=tuple(kept), labels=labels), out)
+    if args.drop_noncompliant:
+        if not ok.any():
+            raise ValueError("no pixels left after density filtering")
+        kept = ds.select(ok, cleaned[ok])
+    else:
+        kept = ds.select(ndvi=cleaned)
+    _write_dataset(run, kept, out)
     report = {
         "n_pixels_in": ds.n_pixels,
-        "n_pixels_out": len(kept),
+        "n_pixels_out": kept.n_pixels,
         "n_outlier_points_removed": int(np.sum(~np.isnan(ndvi)) - np.sum(~np.isnan(cleaned))),
         "n_density_compliant": int(ok.sum()),
     }
@@ -173,7 +173,7 @@ def _cmd_mask(args, config: RunConfig, run: _Run) -> None:
     run.record_input(args.inp)
     ds = _load_dataset(args.inp)
     out = Path(args.out)
-    regions = sorted({px.region_id for px in ds.pixels})
+    regions = np.unique(ds.pixel_region_ids).tolist()
     rng = np.random.default_rng(np.random.SeedSequence((config.pipeline.seed, 11)))
     pools = {
         r: synth_mask_pool(r, ds.grid, args.pool_size, args.coverage, rng)
@@ -236,13 +236,6 @@ def _filled_parcel_series(args, config: RunConfig, ds: Dataset, run: _Run):
     return filled, labels
 
 
-def _stacked(ds: Dataset):
-    pixels = sorted(ds.pixels, key=lambda p: p.pixel_id)
-    ndvi = np.stack([p.ndvi for p in pixels])
-    sar = np.stack([sar_stack(p) for p in pixels])
-    return pixels, ndvi, sar
-
-
 def _cmd_gapfill(args, config: RunConfig, run: _Run) -> None:
     run.record_input(args.inp)
     ds = _load_dataset(args.inp)
@@ -251,14 +244,13 @@ def _cmd_gapfill(args, config: RunConfig, run: _Run) -> None:
     if method == "none":
         raise ValueError("gapfill needs a fill method, not 'none'")
     model = _fill_model(args, method, run)
-    pixels, ndvi, sar = _stacked(ds)
+    ndvi = ds.ndvi
     cf = config.pipeline.cloud_filter_threshold if args.cloud_filter else None
-    filled, _ = fill_batch(ndvi, ds.grid, method, model, sar, cf)
-    filled_px = [px.with_ndvi(filled[k]) for k, px in enumerate(pixels)]
-    _write_dataset(run, Dataset(grid=ds.grid, pixels=tuple(filled_px), labels=ds.labels), out)
+    filled, _ = fill_batch(ndvi, ds.grid, method, model, ds.sar, cf)
+    _write_dataset(run, ds.select(ndvi=filled), out)
     report = {
         "method": method,
-        "n_pixels": len(pixels),
+        "n_pixels": ds.n_pixels,
         "n_skipped_pixels": int(np.isnan(filled).any(axis=1).sum()),
         "n_filled_steps": int(np.sum(np.isnan(ndvi) & ~np.isnan(filled))),
     }
@@ -274,11 +266,9 @@ def _cmd_cloudfilter(args, config: RunConfig, run: _Run) -> None:
     out = Path(args.out)
     model = load_model(args.model)
     thr = args.threshold if args.threshold is not None else config.pipeline.cloud_filter_threshold
-    pixels, ndvi, sar = _stacked(ds)
-    _, flagged = fill_batch(ndvi, ds.grid, "sf", model, sar, thr)
-    cleaned = np.where(flagged, np.nan, ndvi)
-    out_px = [px.with_ndvi(cleaned[k]) for k, px in enumerate(pixels)]
-    _write_dataset(run, Dataset(grid=ds.grid, pixels=tuple(out_px), labels=ds.labels), out)
+    ndvi = ds.ndvi
+    _, flagged = fill_batch(ndvi, ds.grid, "sf", model, ds.sar, thr)
+    _write_dataset(run, ds.select(ndvi=np.where(flagged, np.nan, ndvi)), out)
     report = {
         "threshold": thr,
         "n_present_steps": int(np.sum(~np.isnan(ndvi))),
@@ -304,19 +294,16 @@ def _cmd_detect(args, config: RunConfig, run: _Run) -> None:
         dnn_model = load_model(args.dnn_model)
     outlier = None if args.raw else config.outlier
     cf = config.pipeline.cloud_filter_threshold if args.cloud_filter else None
-    results = [
-        detect_parcel(
-            ds, pid, algo, fill,
-            model=model,
-            dnn_model=dnn_model,
-            mda1_params=config.mda1,
-            mda2_params=config.mda2,
-            decode_threshold=config.pipeline.decode_threshold,
-            outlier=outlier,
-            cloud_filter_threshold=cf,
-        )
-        for pid in ds.parcel_ids
-    ]
+    results = detect_parcels(
+        ds, ds.parcel_ids, algo, fill,
+        model=model,
+        dnn_model=dnn_model,
+        mda1_params=config.mda1,
+        mda2_params=config.mda2,
+        decode_threshold=config.pipeline.decode_threshold,
+        outlier=outlier,
+        cloud_filter_threshold=cf,
+    )
     write_events(results, out)
     run.wrote(out)
     run.finish(_sibling_manifest(out))
@@ -336,10 +323,13 @@ def _read_truth_events(path) -> dict[int, tuple[int, ...]]:
 
 
 def _parcel_cloud_coverage(ds: Dataset) -> dict[int, float]:
-    return {
-        pid: float(np.mean([1.0 - px.present.mean() for px in ds.parcel_pixels(pid)]))
-        for pid in ds.parcel_ids
-    }
+    """Each parcel's mean over its pixels of the fraction of absent NDVI
+    steps, averaged a block of equal-sized parcels at a time."""
+    per_pixel = 1.0 - np.count_nonzero(~np.isnan(ds.ndvi), axis=1) / ds.grid.length
+    coverage = np.empty(len(ds.parcel_ids))
+    for at, rows in ds.parcel_blocks():
+        coverage[at] = per_pixel[rows].mean(axis=1)
+    return dict(zip(ds.parcel_ids, coverage.tolist()))
 
 
 def _cmd_eval(args, config: RunConfig, run: _Run) -> None:
@@ -408,29 +398,24 @@ def _eval_series(args, config: RunConfig, run: _Run, out: Path) -> None:
     run.record_input(args.truth)
     pred_ds = _load_dataset(args.pred)
     truth_ds = _load_dataset(args.truth)
-    pred_px = {p.pixel_id: p for p in pred_ds.pixels}
-    truth_px = {p.pixel_id: p for p in truth_ds.pixels}
-    if set(pred_px) != set(truth_px):
+    # datasets read from files hold their pixels in ascending id order
+    ids, pred, truth = pred_ds.pixel_ids, pred_ds.ndvi, truth_ds.ndvi
+    if not np.array_equal(ids, truth_ds.pixel_ids):
         raise ValueError("prediction and truth datasets cover different pixels")
-    ids = sorted(pred_px)
-    pred = np.stack([pred_px[i].ndvi for i in ids])
-    truth = np.stack([truth_px[i].ndvi for i in ids])
     if args.selector == "masked":
         if args.input is None:
             raise ValueError("--selector masked needs --input (the gappy dataset that was filled)")
         run.record_input(args.input)
         input_ds = _load_dataset(args.input)
-        input_px = {p.pixel_id: p for p in input_ds.pixels}
-        if set(input_px) != set(pred_px):
+        if not np.array_equal(input_ds.pixel_ids, ids):
             raise ValueError("--input dataset covers different pixels")
-        gappy = np.stack([input_px[i].ndvi for i in ids])
-        select = np.isnan(gappy) & ~np.isnan(truth) & ~np.isnan(pred)
+        select = np.isnan(input_ds.ndvi) & ~np.isnan(truth) & ~np.isnan(pred)
     else:
         select = ~np.isnan(truth) & ~np.isnan(pred)
     report = {
         "mode": "series",
         "selector": args.selector,
-        "n_pixels": len(ids),
+        "n_pixels": ids.shape[0],
         "n_selected": int(select.sum()),
         "mae": mae(np.nan_to_num(pred), np.nan_to_num(truth), select),
         "r_squared": r_squared(np.nan_to_num(pred), np.nan_to_num(truth), select),
@@ -522,7 +507,7 @@ def _cmd_experiment(args, config: RunConfig, run: _Run) -> None:
             raise ValueError("the generalization experiment needs --masks")
         run.record_input(args.masks)
         pools = read_mask_pools(args.masks)
-        regions = sorted({px.region_id for px in ds.pixels})
+        regions = np.unique(ds.pixel_region_ids).tolist()
         if args.eval_regions:
             eval_regions = tuple(int(r) for r in args.eval_regions.split(","))
         else:

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from . import features
-from .core import CloudMask, Dataset, ParcelLabel, PixelSeries, TemporalGrid
+from .core import SAR_CHANNELS, CloudMask, Dataset, ParcelLabel, PixelSeries, TemporalGrid
 
 
 @dataclass(frozen=True)
@@ -232,10 +232,10 @@ def synth_dataset(cfg: SynthConfig) -> SynthResult:
         for r in range(cfg.n_regions)
     }
 
-    pixels: list[PixelSeries] = []
+    ndvi_blocks: list[np.ndarray] = []
+    sar_blocks: list[np.ndarray] = []
     labels: dict[int, ParcelLabel] = {}
     cirrus_log: dict[int, tuple[tuple[int, float], ...]] = {}
-    pixel_id = 0
     for parcel_id in range(cfg.n_parcels):
         region_id = parcel_id % cfg.n_regions
         reg = regions[region_id]
@@ -297,11 +297,12 @@ def synth_dataset(cfg: SynthConfig) -> SynthResult:
         vh_db = reg["vh0"] + 2.5 * veg[None, :] - bsc_dip[None, :] + _ar1((p, grid.length), 0.40, 0.5, rng)
 
         sar = features.derive_channels(vv_db, vh_db, coh_vv, coh_vh)
-        for j in range(p):
-            pixels.append(PixelSeries(pixel_id, parcel_id, region_id, observed[j],
-                                      {name: block[j] for name, block in sar.items()}))
-            pixel_id += 1
+        ndvi_blocks.append(observed)
+        sar_blocks.append(np.stack([sar[c] for c in SAR_CHANNELS], axis=2))
         labels[parcel_id] = ParcelLabel(parcel_id, event_doys)
 
-    dataset = Dataset(grid=grid, pixels=tuple(pixels), labels=labels)
+    # pixels are numbered in parcel order, each parcel holding one block of them
+    parcel_of = np.repeat(np.arange(cfg.n_parcels), cfg.pixels_per_parcel)
+    dataset = Dataset.from_arrays(grid, np.arange(parcel_of.size), parcel_of, parcel_of % cfg.n_regions,
+                                  np.concatenate(ndvi_blocks), np.concatenate(sar_blocks), labels)
     return SynthResult(dataset=dataset, pools=pools, cirrus=cirrus_log)

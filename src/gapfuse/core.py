@@ -3,14 +3,17 @@
 Everything downstream (interpolation, training, detection, evaluation)
 operates on these types.  All time series live on a shared integer grid of
 day-of-year stamps; optical values use NaN for absent observations so that
-presence is a property of the data, not a side table.
+presence is a property of the data, not a side table.  A `Dataset` holds its
+pixels as columns (id arrays, an (N, T) NDVI block and an (N, T, 8) radar
+block); `PixelSeries` is the one-pixel form, and a dataset's rows can be
+viewed as PixelSeries for per-pixel code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -30,8 +33,10 @@ SAR_CHANNELS: tuple[str, ...] = (
 CHANNELS: tuple[str, ...] = (NDVI_CHANNEL,) + SAR_CHANNELS
 
 
-# the radar channels that must lie in [0, 1], as rows of SAR_CHANNELS
+# the radar channels that must lie in [0, 1], as indices into SAR_CHANNELS
 _UNIT_RANGE_ROWS = [SAR_CHANNELS.index(c) for c in ("coh_vv", "coh_vh", "mixed_coherence")]
+
+_NDVI_RANGE_MESSAGE = "ndvi values must lie in [-1, 1]"
 
 
 def _checked_ndvi(ndvi: np.ndarray) -> np.ndarray:
@@ -43,8 +48,50 @@ def _checked_ndvi(ndvi: np.ndarray) -> np.ndarray:
         raise ValueError("ndvi must be 1-D")
     # NaN compares false, so absent steps pass
     if (np.abs(ndvi) > 1.0).any():
-        raise ValueError("ndvi values must lie in [-1, 1]")
+        raise ValueError(_NDVI_RANGE_MESSAGE)
     return ndvi
+
+
+def _raise_first(checks: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:
+    """Raise the ValueError of the first row that fails any check, naming
+    the first check (in list order) that this row fails; a check is the
+    (N,) mask of its failing rows and the message of a row."""
+    failing = np.logical_or.reduce([mask for mask, _ in checks])
+    if failing.any():
+        i = int(np.argmax(failing))
+        for mask, message in checks:
+            if mask[i]:
+                raise ValueError(message(i))
+
+
+def _radar_checks(sar: np.ndarray) -> list:
+    """Rows of an (N, T, 8) radar block with a NaN, then rows with a
+    coherence channel outside [0, 1]; each names the first bad channel."""
+    nan = np.isnan(sar).any(axis=1)
+    bounded = sar[:, :, _UNIT_RANGE_ROWS]
+    outside = ((bounded < 0.0) | (bounded > 1.0)).any(axis=1)
+    unit_range = [SAR_CHANNELS[c] for c in _UNIT_RANGE_ROWS]
+    return [
+        (nan.any(axis=1), lambda i: f"channel {SAR_CHANNELS[int(np.argmax(nan[i]))]} contains NaN"),
+        (outside.any(axis=1), lambda i: f"channel {unit_range[int(np.argmax(outside[i]))]} must lie in [0, 1]"),
+    ]
+
+
+def _id_column(values) -> np.ndarray:
+    """Integer ids as an int64 array, or as Python ints in an object array
+    when one lies outside int64."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iuO":
+        raise ValueError(f"ids must be integers, got dtype {arr.dtype}")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -133,16 +180,18 @@ class PixelSeries:
                 raise ValueError(f"channel {name} length {shape} != ndvi length {n}")
         # one (8, n) copy holds every channel; the checks run on the block
         block = np.array([self.sar[name] for name in SAR_CHANNELS], dtype=np.float64)
-        nan_rows = np.isnan(block).any(axis=1)
-        if nan_rows.any():
-            raise ValueError(f"channel {SAR_CHANNELS[int(np.argmax(nan_rows))]} contains NaN")
-        bounded = block[_UNIT_RANGE_ROWS]
-        outside = ((bounded < 0.0) | (bounded > 1.0)).any(axis=1)
-        if outside.any():
-            name = SAR_CHANNELS[_UNIT_RANGE_ROWS[int(np.argmax(outside))]]
-            raise ValueError(f"channel {name} must lie in [0, 1]")
-        block.flags.writeable = False
-        object.__setattr__(self, "sar", MappingProxyType(dict(zip(SAR_CHANNELS, block))))
+        _raise_first(_radar_checks(block.T[None]))
+        object.__setattr__(self, "sar", MappingProxyType(dict(zip(SAR_CHANNELS, _frozen(block)))))
+
+    @classmethod
+    def _view(cls, pixel_id: int, parcel_id: int, region_id: int, ndvi: np.ndarray,
+              sar: np.ndarray) -> "PixelSeries":
+        """A series over checked read-only rows, shared rather than copied:
+        `ndvi` (T,) and `sar` (T, 8) in SAR_CHANNELS order."""
+        out = object.__new__(cls)
+        out.__dict__.update(pixel_id=pixel_id, parcel_id=parcel_id, region_id=region_id, ndvi=ndvi,
+                            sar=MappingProxyType(dict(zip(SAR_CHANNELS, sar.T))))
+        return out
 
     @property
     def length(self) -> int:
@@ -199,68 +248,216 @@ class ParcelLabel:
         object.__setattr__(self, "event_doys", tuple(sorted(int(d) for d in self.event_doys)))
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """A set of pixels grouped into parcels, plus optional parcel labels."""
+    """Pixels grouped into parcels, plus optional parcel labels, held as
+    columns.
 
-    grid: TemporalGrid
-    pixels: tuple[PixelSeries, ...]
-    labels: Mapping[int, ParcelLabel] = field(default_factory=dict)
+    Row i is pixel `pixel_ids[i]` of parcel `pixel_parcel_ids[i]` in region
+    `pixel_region_ids[i]`, with NDVI `ndvi[i]` (T,), NaN at absent steps,
+    and radar `sar[i]` (T, 8) in SAR_CHANNELS order.  Every array is
+    read-only and rows keep construction order.  The parcel grouping is
+    computed once, at construction: `parcel_ids` ascending, with
+    `parcel_sizes` and `parcel_region_ids` (the region of a parcel's first
+    pixel) in that order, and `parcel_order`, the rows grouped by parcel in
+    that order and kept in construction order within a parcel.  `pixels`
+    views the rows as PixelSeries for per-pixel code.
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pixels", tuple(self.pixels))
-        seen: set[int] = set()
-        by_parcel: dict[int, list[int]] = {}
-        for i, px in enumerate(self.pixels):
-            if px.length != self.grid.length:
-                raise ValueError(f"pixel {px.pixel_id} length {px.length} != grid length {self.grid.length}")
-            if px.pixel_id in seen:
-                raise ValueError(f"duplicate pixel_id {px.pixel_id}")
-            seen.add(px.pixel_id)
-            by_parcel.setdefault(px.parcel_id, []).append(i)
-        labels = {int(k): v for k, v in dict(self.labels).items()}
-        for pid, lab in labels.items():
+    `Dataset(grid, pixels, labels)` builds a dataset from PixelSeries and
+    `Dataset.from_arrays` from columns; `select` derives one from another.
+    """
+
+    def __init__(self, grid: TemporalGrid, pixels: Iterable[PixelSeries] = (),
+                 labels: Mapping[int, ParcelLabel] | None = None):
+        pixels = tuple(pixels)
+        for px in pixels:
+            if px.length != grid.length:
+                raise ValueError(f"pixel {px.pixel_id} length {px.length} != grid length {grid.length}")
+        n, t = len(pixels), grid.length
+        ndvi = np.array([px.ndvi for px in pixels], dtype=np.float64).reshape(n, t)
+        sar = np.array([[px.sar[c] for c in SAR_CHANNELS] for px in pixels], dtype=np.float64)
+        sar = np.ascontiguousarray(sar.reshape(n, len(SAR_CHANNELS), t).transpose(0, 2, 1))
+        ids = (_id_column([getattr(px, f) for px in pixels]) for f in ("pixel_id", "parcel_id", "region_id"))
+        # each PixelSeries was checked when it was made
+        self._setup(grid, *ids, ndvi, sar, labels, check_radar=False)
+        object.__setattr__(self, "_pixels", pixels)
+
+    @classmethod
+    def from_arrays(cls, grid: TemporalGrid, pixel_ids, parcel_ids, region_ids, ndvi, sar,
+                    labels: Mapping[int, ParcelLabel] | None = None) -> "Dataset":
+        """A dataset of N pixels given as columns: three (N,) integer id
+        arrays, the (N, T) NDVI block and the (N, T, 8) radar block.
+
+        Every pixel gets the checks a PixelSeries gets, then the dataset the
+        checks `Dataset(grid, pixels)` makes; the error is the one for the
+        first failing pixel.  The blocks are taken over, not copied, when
+        they already are C-ordered float64 arrays: they are then made
+        read-only in place, and must not be written through another view."""
+        ndvi, sar = (np.ascontiguousarray(a, dtype=np.float64) for a in (ndvi, sar))
+        n = ndvi.shape[0] if ndvi.ndim == 2 else -1
+        if ndvi.shape != (n, grid.length):
+            raise ValueError(f"ndvi block shape {ndvi.shape} != (N, {grid.length})")
+        if sar.shape != (n, grid.length, len(SAR_CHANNELS)):
+            raise ValueError(f"radar block shape {sar.shape} != {(n, grid.length, len(SAR_CHANNELS))}")
+        columns = [_id_column(ids) for ids in (pixel_ids, parcel_ids, region_ids)]
+        if any(col.shape != (n,) for col in columns):
+            raise ValueError(f"id column shapes {[col.shape for col in columns]} != ({n},)")
+        out = cls.__new__(cls)
+        out._setup(grid, *columns, ndvi, sar, labels, check_radar=True)
+        return out
+
+    def _setup(self, grid, pixel_ids, parcel_ids, region_ids, ndvi, sar, labels, check_radar) -> None:
+        object.__setattr__(self, "grid", grid)
+        for name, arr in (("pixel_ids", pixel_ids), ("pixel_parcel_ids", parcel_ids),
+                          ("pixel_region_ids", region_ids), ("ndvi", ndvi), ("sar", sar)):
+            object.__setattr__(self, name, _frozen(arr))
+        object.__setattr__(self, "labels", {int(k): v for k, v in dict(labels or {}).items()})
+        object.__setattr__(self, "_pixels", None)
+        self.__post_init__(check_radar)
+
+    def __post_init__(self, check_radar: bool = True) -> None:
+        """Check the rows and the labels, and group the rows by parcel:
+        the last step of every constructor."""
+        # NaN compares false, so absent steps pass
+        ndvi_check = ((np.abs(self.ndvi) > 1.0).any(axis=1), lambda i: _NDVI_RANGE_MESSAGE)
+        _raise_first([ndvi_check] + (_radar_checks(self.sar) if check_radar else []))
+        _, first = np.unique(self.pixel_ids, return_index=True)
+        repeated = np.ones(self.n_pixels, dtype=bool)
+        repeated[first] = False
+        _raise_first([(repeated, lambda i: f"duplicate pixel_id {self.pixel_ids[i]}")])
+        parcels, inverse, sizes = np.unique(self.pixel_parcel_ids, return_inverse=True, return_counts=True)
+        order = np.argsort(inverse.reshape(-1), kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        parcel_ids = tuple(parcels.tolist())
+        for name, value in (("parcel_ids", parcel_ids), ("parcel_sizes", _frozen(sizes)),
+                            ("parcel_order", _frozen(order)),
+                            ("parcel_region_ids", tuple(self.pixel_region_ids[order[starts]].tolist())),
+                            ("_starts", _frozen(starts)),
+                            ("_position", {p: k for k, p in enumerate(parcel_ids)})):
+            object.__setattr__(self, name, value)
+        for pid, lab in self.labels.items():
             if lab.parcel_id != pid:
                 raise ValueError(f"label keyed {pid} carries parcel_id {lab.parcel_id}")
-            if pid not in by_parcel:
+            if pid not in self._position:
                 raise ValueError(f"label for unknown parcel {pid}")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_by_parcel", {k: tuple(v) for k, v in by_parcel.items()})
 
-    @property
-    def parcel_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._by_parcel))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Dataset is read-only; cannot set {name!r}")
 
-    def parcel_pixels(self, parcel_id: int) -> tuple[PixelSeries, ...]:
-        if parcel_id not in self._by_parcel:
-            raise KeyError(f"unknown parcel {parcel_id}")
-        return tuple(self.pixels[i] for i in self._by_parcel[parcel_id])
+    def __repr__(self) -> str:
+        return f"Dataset(grid={self.grid!r}, n_pixels={self.n_pixels}, n_parcels={len(self.parcel_ids)})"
 
     @property
     def n_pixels(self) -> int:
-        return len(self.pixels)
+        return self.ndvi.shape[0]
+
+    @property
+    def pixels(self) -> tuple[PixelSeries, ...]:
+        """The rows as read-only PixelSeries views, built on first use."""
+        if self._pixels is None:
+            ids = zip(self.pixel_ids.tolist(), self.pixel_parcel_ids.tolist(), self.pixel_region_ids.tolist())
+            object.__setattr__(self, "_pixels", tuple(
+                PixelSeries._view(*key, self.ndvi[i], self.sar[i]) for i, key in enumerate(ids)))
+        return self._pixels
+
+    def _locate(self, parcel_ids) -> tuple[np.ndarray, np.ndarray]:
+        """(position in `self.parcel_ids`, start of the rows in
+        `parcel_order`) of each given parcel; a KeyError names the first
+        unknown parcel."""
+        try:
+            k = np.array([self._position[p] for p in parcel_ids], dtype=np.intp)
+        except KeyError as e:
+            raise KeyError(f"unknown parcel {e.args[0]}") from None
+        return k, self._starts[k]
+
+    def parcel_blocks(self, parcel_ids=None) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The given parcels (every parcel, ascending, when None) grouped by
+        size: for each size m, the positions of its parcels among the given
+        ones, and the (P_m, m) rows of their pixels, in construction order
+        within a parcel.
+
+        numpy reduces a block over its member axis in the order it reduces
+        one parcel's own stack of m rows, so a reduction over the blocks is
+        bit-identical to one parcel at a time; `np.add.reduceat` over the
+        grouped rows is not."""
+        k, starts = self._locate(self.parcel_ids if parcel_ids is None else parcel_ids)
+        sizes = self.parcel_sizes[k]
+        blocks = []
+        for m in np.unique(sizes).tolist():
+            at = np.flatnonzero(sizes == m)
+            blocks.append((at, self.parcel_order[starts[at, None] + np.arange(m)]))
+        return blocks
+
+    def parcel_pixels(self, parcel_id: int) -> tuple[PixelSeries, ...]:
+        (k,), (start,) = self._locate([parcel_id])
+        pixels = self.pixels
+        return tuple(pixels[i] for i in self.parcel_order[start:start + self.parcel_sizes[k]].tolist())
+
+    def select(self, rows=None, ndvi=None, labels: Mapping[int, ParcelLabel] | None = None) -> "Dataset":
+        """The pixels at `rows` (an index array or a row mask; every row
+        when None), in that order, with the (len(rows), T) NDVI block `ndvi`
+        in place of theirs when given, and `labels`, by default this
+        dataset's labels of the parcels that keep a pixel.
+
+        Only what can change is checked: the new NDVI, repeated rows and the
+        labels.  The radar rows were checked when this dataset was made and
+        are shared when every row is kept."""
+        if rows is None:
+            ids = (self.pixel_ids, self.pixel_parcel_ids, self.pixel_region_ids)
+            sar = self.sar
+        else:
+            rows = np.asarray(rows)
+            rows = np.flatnonzero(rows) if rows.dtype == bool else rows.astype(np.intp)
+            ids = (self.pixel_ids[rows], self.pixel_parcel_ids[rows], self.pixel_region_ids[rows])
+            sar = self.sar[rows]
+        if ndvi is None:
+            ndvi = self.ndvi if rows is None else self.ndvi[rows]
+        else:
+            ndvi = np.array(ndvi, dtype=np.float64, order="C")
+            if ndvi.shape != (ids[0].shape[0], self.grid.length):
+                raise ValueError(f"ndvi block shape {ndvi.shape} != {(ids[0].shape[0], self.grid.length)}")
+        if labels is None:
+            kept = set(ids[1].tolist())
+            labels = {p: lab for p, lab in self.labels.items() if p in kept}
+        out = Dataset.__new__(Dataset)
+        out._setup(self.grid, *ids, ndvi, sar, labels, check_radar=False)
+        return out
+
+
+def parcel_aggregates(dataset: Dataset, parcel_ids=None) -> tuple[np.ndarray, np.ndarray]:
+    """(P, T) NDVI and (P, T, 8) radar of the aggregates of `parcel_ids`
+    (every parcel, ascending, when None), in that order.
+
+    An NDVI step is present in an aggregate when more than half of the
+    parcel's pixels observe it; its value is the mean over the observing
+    pixels.  Radar channels average over all pixels.
+
+    Each `Dataset.parcel_blocks` block is reduced over its member axis, the
+    radar one channel at a time as for a single parcel, so every aggregate
+    is bit-identical to the mean over its parcel alone."""
+    blocks = dataset.parcel_blocks(parcel_ids)
+    p = sum(at.size for at, _ in blocks)
+    t = dataset.grid.length
+    ndvi = np.full((p, t), np.nan)
+    sar = np.empty((p, t, len(SAR_CHANNELS)))
+    for at, rows in blocks:
+        block = dataset.ndvi[rows]
+        present = ~np.isnan(block)
+        count = present.sum(axis=1)
+        summed = np.where(present, block, 0.0).sum(axis=1)
+        mean = np.full((at.size, t), np.nan)
+        keep = count > (rows.shape[1] / 2.0)
+        mean[keep] = summed[keep] / count[keep]
+        ndvi[at] = mean
+        for c in range(len(SAR_CHANNELS)):
+            sar[at, :, c] = np.ascontiguousarray(dataset.sar[rows, :, c]).mean(axis=1)
+    # coherence means stay in [0,1]; ratio channels have no bound to restore
+    return np.clip(ndvi, -1.0, 1.0), sar
 
 
 def parcel_series(dataset: Dataset, parcel_id: int) -> PixelSeries:
-    """Aggregate a parcel's pixels into one series by per-step averaging.
-
-    An NDVI step is present in the aggregate when more than half of the
-    parcel's pixels observe it; its value is the mean over the observing
-    pixels.  Radar channels average over all pixels.  The aggregate carries
-    the parcel id in both id fields.
-    """
-    members = dataset.parcel_pixels(parcel_id)
-    ndvi_stack = np.stack([p.ndvi for p in members])
-    present = ~np.isnan(ndvi_stack)
-    count = present.sum(axis=0)
-    keep = count > (len(members) / 2.0)
-    summed = np.where(present, ndvi_stack, 0.0).sum(axis=0)
-    ndvi = np.full(dataset.grid.length, np.nan)
-    ndvi[keep] = summed[keep] / count[keep]
-    ndvi = np.clip(ndvi, -1.0, 1.0)
-    sar = {
-        name: np.mean(np.stack([p.sar[name] for p in members]), axis=0)
-        for name in SAR_CHANNELS
-    }
-    # coherence means stay in [0,1]; ratio channels have no bound to restore
-    return PixelSeries(parcel_id, parcel_id, members[0].region_id, ndvi, sar)
+    """One parcel's aggregate (see `parcel_aggregates`) as a series that
+    carries the parcel id in both id fields and the region of the parcel's
+    first pixel."""
+    ndvi, sar = parcel_aggregates(dataset, [parcel_id])
+    region = dataset.parcel_region_ids[dataset._locate([parcel_id])[0][0]]
+    return PixelSeries(parcel_id, parcel_id, region, ndvi[0], dict(zip(SAR_CHANNELS, sar[0].T)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import find_peaks
 
-from .core import Dataset, ParcelLabel, TemporalGrid, parcel_series
+from .core import Dataset, ParcelLabel, TemporalGrid, parcel_aggregates
 from .neural import AdamState, weighted_bce, weighted_bce_grad
 from .preprocess import OutlierParams, remove_outliers
 from .sfmodel import (
@@ -23,7 +23,6 @@ from .sfmodel import (
     TrainConfig,
     fill_batch,
     predict_batch,
-    sar_stack,
 )
 
 
@@ -285,16 +284,15 @@ def parcel_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(N, T) NDVI and (N, T, 8) radar stacks of parcel aggregates; `outlier`
     (when given) removes downward spikes from the NDVI."""
-    aggs = [parcel_series(dataset, pid) for pid in parcel_ids]
-    ndvi = np.stack([a.ndvi for a in aggs])
+    ndvi, sar = parcel_aggregates(dataset, parcel_ids)
     if outlier is not None:
         ndvi = remove_outliers(ndvi, dataset.grid, outlier)
-    return ndvi, np.stack([sar_stack(a) for a in aggs])
+    return ndvi, sar
 
 
-def detect_parcel(
+def detect_parcels(
     dataset: Dataset,
-    parcel_id: int,
+    parcel_ids,
     algorithm: str,
     fill_method: str = "none",
     model: SfModel | None = None,
@@ -304,27 +302,36 @@ def detect_parcel(
     decode_threshold: float = 0.5,
     outlier: OutlierParams | None = None,
     cloud_filter_threshold: float | None = None,
-) -> EventSet:
-    """Aggregate a parcel, optionally clean/fill its series, run a detector.
+) -> list[EventSet]:
+    """Aggregate parcels, optionally clean/fill their series, run a detector
+    on each; one EventSet per parcel, in `parcel_ids` order.
 
-    `outlier` (when given) removes downward spikes before filling;
-    `cloud_filter_threshold` additionally replaces suspect observations with
-    the fusion model's prediction (sf fill only).  A series with too few
-    observations for an interpolator stays unfilled.
+    The parcels are aggregated, filled and (for `dnn`) scored together, as
+    one block.  `outlier` (when given) removes downward spikes before
+    filling; `cloud_filter_threshold` additionally replaces suspect
+    observations with the fusion model's prediction (sf fill only).  A
+    series with too few observations for an interpolator stays unfilled.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    ndvi, sar = parcel_block(dataset, [parcel_id], outlier)
-    filled, _ = fill_batch(ndvi, dataset.grid, fill_method, model, sar, cloud_filter_threshold)
+    parcel_ids = list(parcel_ids)
+    grid = dataset.grid
+    ndvi, sar = parcel_block(dataset, parcel_ids, outlier)
+    filled, _ = fill_batch(ndvi, grid, fill_method, model, sar, cloud_filter_threshold)
     if algorithm == "mda1":
-        result = mda1(filled[0], dataset.grid, mda1_params)
+        found = [mda1(row, grid, mda1_params).events for row in filled]
     elif algorithm == "mda2":
-        result = mda2(filled[0], dataset.grid, mda2_params)
+        found = [mda2(row, grid, mda2_params).events for row in filled]
     else:
         if dnn_model is None:
             raise ValueError("dnn detection needs a trained detector model")
-        result, _ = dnn_detect(dnn_model, filled[0], dataset.grid, decode_threshold)
-    return EventSet(parcel_id=parcel_id, events=result.events)
+        found = [decode_probabilities(p, grid, decode_threshold) for p in dnn_predict(dnn_model, filled)]
+    return [EventSet(parcel_id=pid, events=events) for pid, events in zip(parcel_ids, found)]
+
+
+def detect_parcel(dataset: Dataset, parcel_id: int, *args, **kwargs) -> EventSet:
+    """`detect_parcels` for one parcel; the other arguments are its."""
+    return detect_parcels(dataset, [parcel_id], *args, **kwargs)[0]
 
 
 def parcel_fill_batch(

@@ -202,9 +202,7 @@ def subset_dataset(dataset: Dataset, parcel_ids) -> Dataset:
     unknown = wanted - set(dataset.parcel_ids)
     if unknown:
         raise ValueError(f"unknown parcels {sorted(unknown)[:5]}")
-    pixels = tuple(px for px in dataset.pixels if px.parcel_id in wanted)
-    labels = {p: l for p, l in dataset.labels.items() if p in wanted}
-    return Dataset(grid=dataset.grid, pixels=pixels, labels=labels)
+    return dataset.select(np.isin(dataset.pixel_parcel_ids, list(wanted)))
 
 
 def split_parcels(
@@ -454,7 +452,7 @@ def generalization_experiment(
 ) -> GeneralizationReport:
     """Train on region subsets, evaluate masked-step MAE on fixed held-out
     regions that never appear in any training subset."""
-    regions = sorted({px.region_id for px in dataset.pixels})
+    regions = np.unique(dataset.pixel_region_ids).tolist()
     if len(regions) < 2:
         raise ValueError("need at least two regions")
     eval_set = set(eval_regions)
@@ -465,16 +463,15 @@ def generalization_experiment(
             raise ValueError("training subsets must not touch the evaluation regions")
         if not set(subset) <= set(regions):
             raise ValueError("unknown region in subset")
-    eval_parcels = [p for p in dataset.parcel_ids
-                    if dataset.parcel_pixels(p)[0].region_id in eval_set]
+    parcel_regions = list(zip(dataset.parcel_ids, dataset.parcel_region_ids))
+    eval_parcels = [p for p, r in parcel_regions if r in eval_set]
     eval_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 3)))
     evaluation = assemble_training_set(
         subset_dataset(dataset, eval_parcels), pools, eval_rng, outlier, density
     )
     rows = []
     for subset in train_region_subsets:
-        sub_parcels = [p for p in dataset.parcel_ids
-                       if dataset.parcel_pixels(p)[0].region_id in set(subset)]
+        sub_parcels = [p for p, r in parcel_regions if r in set(subset)]
         train_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 4)))
         training = assemble_training_set(
             subset_dataset(dataset, sub_parcels), pools, train_rng, outlier, density

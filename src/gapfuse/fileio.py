@@ -26,6 +26,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import operator
 import os
 import tempfile
@@ -36,13 +37,7 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from .cloudsim import MaskPool, SynthConfig
-from .core import (
-    CloudMask,
-    Dataset,
-    ParcelLabel,
-    PixelSeries,
-    TemporalGrid,
-)
+from .core import SAR_CHANNELS, CloudMask, Dataset, ParcelLabel, TemporalGrid
 from .detect import Event, EventSet, Mda1Params, Mda2Params
 from .features import derive_channels
 from .preprocess import DensityCriteria, OutlierParams
@@ -165,15 +160,18 @@ _WRITE_CHUNK_PIXELS = 512
 _READ_CHUNK_ROWS = 1024
 
 
-def _dataset_rows(pixels: list[PixelSeries], step_cells: list[str]) -> str:
-    """The dataset.csv rows of `pixels`, formatted a column at a time."""
-    keys = [f"{p.pixel_id},{p.parcel_id},{p.region_id},{s}" for p in pixels for s in step_cells]
-    ndvi = np.concatenate([p.ndvi for p in pixels])
+def _dataset_rows(chunk: tuple[list[tuple[int, int, int]], np.ndarray, np.ndarray],
+                  step_cells: list[str]) -> str:
+    """The dataset.csv rows of a chunk of pixels, given as their (pixel,
+    parcel, region) ids, (n, T) NDVI and (n, T, 4) measured radar, formatted
+    a column at a time."""
+    ids, ndvi, radar = chunk
+    keys = [f"{p},{q},{r},{s}" for p, q, r in ids for s in step_cells]
+    ndvi = ndvi.ravel()
     ndvi_cells = list(map(repr, ndvi.tolist()))
     for i in np.flatnonzero(np.isnan(ndvi)).tolist():
         ndvi_cells[i] = ""
-    radar = [list(map(repr, np.concatenate([p.sar[c] for p in pixels]).tolist()))
-             for c in _RAW_TO_CHANNEL.values()]
+    radar = [list(map(repr, radar[:, :, c].ravel().tolist())) for c in range(radar.shape[2])]
     return "".join(map("{}{},{},{},{},{}\n".format, keys, ndvi_cells, *radar))
 
 
@@ -185,12 +183,16 @@ def write_dataset(dataset: Dataset, path) -> None:
     formatted and written a chunk of pixels at a time."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    pixels = sorted(dataset.pixels, key=lambda p: p.pixel_id)
+    order = np.argsort(dataset.pixel_ids, kind="stable")
+    raw = [SAR_CHANNELS.index(c) for c in _RAW_TO_CHANNEL.values()]
     step_cells = [f"{t},{int(d)}," for t, d in enumerate(dataset.grid.doys)]
     with _atomic_file(path / DATASET_FILE, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(DATASET_HEADER) + "\n")
-        for lo in range(0, len(pixels), _WRITE_CHUNK_PIXELS):
-            fh.write(_dataset_rows(pixels[lo:lo + _WRITE_CHUNK_PIXELS], step_cells))
+        for lo in range(0, order.shape[0], _WRITE_CHUNK_PIXELS):
+            rows = order[lo:lo + _WRITE_CHUNK_PIXELS]
+            ids = zip(*(col[rows].tolist() for col in
+                        (dataset.pixel_ids, dataset.pixel_parcel_ids, dataset.pixel_region_ids)))
+            fh.write(_dataset_rows((list(ids), dataset.ndvi[rows], dataset.sar[rows][:, :, raw]), step_cells))
 
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -312,7 +314,8 @@ def _read_dataset_columns(csv_path, reader):
 def read_dataset(path) -> Dataset:
     """Read a dataset directory written by `write_dataset`.
 
-    Every check runs on whole columns.  Only when one fails is the offending
+    The pixels come in ascending id order.  Every check runs on whole
+    columns.  Only when one fails is the offending
     row looked up: the first in file order, and within it the first failing
     check in column order, so the error names the row and column that a
     row-by-row reader stopping at the first bad cell would name."""
@@ -377,15 +380,14 @@ def read_dataset(path) -> Dataset:
     def block(column: np.ndarray) -> np.ndarray:
         return column[rows].reshape(n_full, grid.length)
 
-    ndvi_block = block(ndvi)
     sar = derive_channels(*(block(cols[c]) for c in _RAW_TO_CHANNEL))
-    ids = zip(pixel_ids.tolist(), parcel[first_of_pixel].tolist(), region[first_of_pixel].tolist())
-    pixels = [PixelSeries(p, parcel_id, region_id, ndvi_block[j], {name: b[j] for name, b in sar.items()})
-              for j, (p, parcel_id, region_id) in enumerate(itertools.islice(ids, n_full))]
+    checked = Dataset.from_arrays(
+        grid, pixel_ids[:n_full], parcel[first_of_pixel][:n_full], region[first_of_pixel][:n_full],
+        block(ndvi), np.stack([sar[c] for c in SAR_CHANNELS], axis=2))
     if n_full < pixel_ids.shape[0]:
         raise FileFormatError(csv_path, f"pixel {pixel_ids[n_full]} does not cover every step of the grid")
     labels = read_labels(path / LABELS_FILE) if (path / LABELS_FILE).exists() else {}
-    return Dataset(grid=grid, pixels=tuple(pixels), labels=labels)
+    return checked.select(labels=labels)
 
 
 def read_labels(path) -> dict[int, ParcelLabel]:
@@ -558,12 +560,22 @@ def load_model(path) -> SfModel:
         )
         g = header["grid"]
         grid = TemporalGrid(start_doy=g["start_doy"], step_days=g["step_days"], length=g["length"])
+        # check the sizes against the file before anything is allocated:
+        # the header alone may describe a network too large to build
+        for entry in header["params"]:
+            lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]
+            if entry["nbytes"] != 4 * math.prod(entry["shape"]):
+                raise ValueError(f"parameter {entry['name']} of shape {entry['shape']} "
+                                 f"cannot take {entry['nbytes']} bytes")
+            if lo < 0 or hi > len(body):
+                raise ValueError(f"parameter {entry['name']} extends past end of file")
+        if 4 * arch.n_params != len(body):
+            raise ValueError(f"the architecture has {arch.n_params} parameters ({4 * arch.n_params} bytes), "
+                             f"the file holds {len(body)} bytes of them")
         net = SfNet(arch, np.random.default_rng(0))
         state: dict[str, np.ndarray] = {}
         for entry in header["params"]:
             lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]
-            if hi > len(body):
-                raise ValueError(f"parameter {entry['name']} extends past end of file")
             arr = np.frombuffer(body[lo:hi], dtype="<f4").reshape(entry["shape"])
             state[entry["name"]] = arr.astype(np.float32)
         net.set_state(state)

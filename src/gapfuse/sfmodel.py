@@ -81,6 +81,22 @@ class SfArchitecture:
     def has_ndvi(self) -> bool:
         return NDVI_CHANNEL in self.channels
 
+    @property
+    def n_params(self) -> int:
+        """The number of parameters of the SfNet built from this
+        architecture, counted without building it."""
+        f1, f2 = self.conv_filters
+        d1, d2 = self.branch_dense
+        h = self.lstm_hidden
+        c = len(self.channels)
+        # the NDVI branch's first convolution also reads the presence flags
+        conv1_inputs = c + self.has_ndvi
+        branches = conv1_inputs * self.kernel * f1 + c * (f1 + self.kernel * f1 * f2 + f2 + f2 * d1 + d1
+                                                          + d1 * d2 + d2)
+        # each BiLSTM holds two cells of (H + C, 4H) weights and 4H biases
+        lstm = 2 * ((h + d2 * c) * 4 * h + 4 * h) + 2 * ((h + 2 * h) * 4 * h + 4 * h)
+        return branches + lstm + 2 * h + 1
+
 
 @dataclass(frozen=True)
 class NormStats:
@@ -331,41 +347,40 @@ def assemble_training_set(
     maps classes to the configured weights, so one assembly can serve
     several weight settings."""
     grid = dataset.grid
-    pixels: list[PixelSeries] = []
-    bits: list[np.ndarray] = []
-    coverages: list[float] = []
-    for parcel_id in dataset.parcel_ids:
-        members = dataset.parcel_pixels(parcel_id)
-        # one draw per parcel in sorted order, whether or not a pixel is kept
-        mask = bootstrap_mask(pools[members[0].region_id], rng)
-        pixels.extend(members)
-        bits.extend([mask.bits] * len(members))
-        coverages.extend([mask.coverage] * len(members))
-    ndvi = np.array([px.ndvi for px in pixels]).reshape(-1, grid.length)
-    cleaned = remove_outliers(ndvi, grid, outlier)
+    for region in sorted(set(dataset.parcel_region_ids)):
+        if region not in pools:
+            raise ValueError(f"no cloud-mask pool for region {region}")
+        steps = pools[region].masks[0].bits.size
+        if steps != grid.length:
+            raise ValueError(f"region {region}'s masks have {steps} steps, "
+                             f"the dataset's grid has {grid.length}")
+    # one draw per parcel in sorted order, whether or not a pixel is kept;
+    # samples follow `parcel_order`
+    masks = [bootstrap_mask(pools[region], rng) for region in dataset.parcel_region_ids]
+    order = dataset.parcel_order
+    cleaned = remove_outliers(dataset.ndvi[order], grid, outlier)
     keep = np.flatnonzero(density_mask(cleaned, grid, density))
     if keep.size == 0:
         raise ValueError("no density-compliant pixels to train on")
-    pixels = [pixels[k] for k in keep]
+    rows = order[keep]
     cleaned = cleaned[keep]
-    hide = np.array(bits)[keep]
+    hide = np.repeat(np.array([m.bits for m in masks]), dataset.parcel_sizes, axis=0)[keep]
     target, observed = build_target(cleaned, grid)
     ndvi_in = cleaned.copy()
     ndvi_in[hide] = np.nan
     cls = np.zeros(cleaned.shape, dtype=np.int8)
     cls[observed & ~hide] = 1
     cls[observed & hide] = 2
-    sar = np.array([[px.sar[c] for c in SAR_CHANNELS] for px in pixels]).transpose(0, 2, 1)
     return TrainingSet(
         grid=grid,
         ndvi_in=ndvi_in,
-        sar=np.ascontiguousarray(sar),
+        sar=dataset.sar[rows],
         target=target,
         weight_class=cls,
-        pixel_ids=np.asarray([px.pixel_id for px in pixels]),
-        parcel_ids=np.asarray([px.parcel_id for px in pixels]),
-        region_ids=np.asarray([px.region_id for px in pixels]),
-        mask_coverages=np.asarray(coverages)[keep],
+        pixel_ids=dataset.pixel_ids[rows],
+        parcel_ids=dataset.pixel_parcel_ids[rows],
+        region_ids=dataset.pixel_region_ids[rows],
+        mask_coverages=np.repeat([m.coverage for m in masks], dataset.parcel_sizes)[keep],
     )
 
 

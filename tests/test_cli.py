@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from gapfuse import (
+    CloudMask,
     Dataset,
+    MaskPool,
     ParcelLabel,
     PixelSeries,
     SynthConfig,
@@ -15,10 +17,13 @@ from gapfuse import (
     read_dataset,
     read_events,
     read_manifest,
+    read_mask_pools,
     synth_dataset,
     write_dataset,
     write_events,
+    write_mask_pools,
 )
+from gapfuse import fileio
 from gapfuse.cli import main
 from gapfuse.fileio import read_json
 
@@ -116,6 +121,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "unreadable CSV" in err and row in err
 
+    def test_model_header_larger_than_its_file_exits_two(self, ws, tmp_path, capsys, monkeypatch):
+        """The sizes are checked before the network is built: building it
+        from this header would need hundreds of GiB."""
+        magic, header, body = ws["model"].read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        fields["arch"]["lstm_hidden"] = 100_000
+        model = tmp_path / "big.gfm"
+        model.write_bytes(magic + b"\n" + json.dumps(fields).encode() + b"\n" + body)
+        monkeypatch.setattr(fileio, "SfNet", None)
+        rc = main(["gapfill", "--in", str(ws["ds"]), "--out", str(tmp_path / "o"),
+                   "--method", "sf", "--model", str(model)])
+        assert rc == 2
+        assert "the architecture has" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["--version"])
@@ -192,6 +211,23 @@ class TestTrain:
         m = read_manifest(model.with_name(model.stem + ".manifest.json"))
         assert m["command"] == "train"
         assert m["config"]["train"]["max_epochs"] == 2
+
+    @pytest.mark.parametrize("misfit, message", [
+        ("short", "region 0's masks have 10 steps, the dataset's grid has 29"),
+        ("region", "no cloud-mask pool for region 1"),
+    ])
+    def test_masks_that_do_not_fit_the_dataset_exit_two(self, ws, tmp_path, capsys, misfit, message):
+        pools = read_mask_pools(ws["ds"] / "masks.csv")
+        if misfit == "short":
+            pools = {r: MaskPool(r, tuple(CloudMask(m.mask_id, r, m.bits[:10]) for m in pool.masks))
+                     for r, pool in pools.items()}
+        else:
+            del pools[1]
+        masks = tmp_path / "masks.csv"
+        write_mask_pools(pools, masks)
+        rc = main(["train", "--in", str(ws["ds"]), "--masks", str(masks), "--out", str(tmp_path / "m.gfm")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_detection_head(self, ws, tmp_path):
         out = tmp_path / "det.gfm"

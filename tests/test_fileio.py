@@ -318,6 +318,23 @@ class TestModelContainer:
         with pytest.raises(FileFormatError):
             load_model(p)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h["arch"].update(lstm_hidden=100_000), "the architecture has"),
+        (lambda h: h["arch"].update(conv_filters=[8, 17]), "the architecture has"),
+        (lambda h: h["params"][0].update(nbytes=h["params"][0]["nbytes"] + 4), "cannot take"),
+        (lambda h: h["params"][-1].update(offset=h["params"][-1]["offset"] + 4), "extends past end of file"),
+    ])
+    def test_sizes_checked_before_the_net_is_built(self, tiny_model, tmp_path, monkeypatch, edit, message):
+        p = tmp_path / "m.gfm"
+        save_model(tiny_model, p)
+        magic, header, body = p.read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        edit(fields)
+        p.write_bytes(magic + b"\n" + json.dumps(fields).encode() + b"\n" + body)
+        monkeypatch.setattr(fileio, "SfNet", None)
+        with pytest.raises(FileFormatError, match=message):
+            load_model(p)
+
     @pytest.mark.parametrize("key, value", [
         ("arch", None), ("stats", None), ("grid", None), ("params", None), ("grid", "29"), ("params", 7),
     ])

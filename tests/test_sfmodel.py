@@ -115,6 +115,15 @@ class TestArchitecture:
         names = [n for n, _, _ in net.params()]
         assert len(names) == len(set(names))
 
+    @pytest.mark.parametrize("arch", [
+        SfArchitecture(), TINY_ARCH, SfArchitecture(channels=("ndvi",), head="detection"),
+        SfArchitecture(channels=("rvi", "coh_vh"), conv_filters=(3, 5), kernel=5, branch_dense=(7, 4),
+                       lstm_hidden=6),
+    ])
+    def test_n_params_counts_the_built_net(self, arch):
+        net = SfNet(arch, np.random.default_rng(0))
+        assert arch.n_params == sum(p.size for _, p, _ in net.params())
+
     def test_model_checks_stats_channels(self):
         net = SfNet(TINY_ARCH, np.random.default_rng(0))
         with pytest.raises(ValueError):
