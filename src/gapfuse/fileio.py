@@ -11,6 +11,14 @@ repr so values round-trip bit-exactly):
 * masks.csv    mask_id, region_id, bit_0..bit_{T-1}
 * events.csv   parcel_id, event_doy, score (empty pair = no events found)
 
+dataset.csv is read a bounded chunk of about 1 MB of whole lines at a time
+by numpy's C parser.  A chunk that parser could read otherwise than
+Python's `int()`/`float()` (a byte other than digits, signs, `.`, `e`,
+commas and newlines, a blank line, a failed parse, a non-finite value) is
+left, with the rest of the file, to the `csv` module and per-column
+`int()`/`float()`, which alone reject cells and name the row and column of
+an error.
+
 Model files are a magic line, a one-line JSON header (architecture, stats,
 grid, parameter names/shapes/offsets) and raw little-endian float32 blobs.
 All writes go through a temp-file-then-rename so readers never observe a
@@ -30,6 +38,7 @@ import math
 import operator
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -158,6 +167,14 @@ _INT_COLUMNS = DATASET_HEADER[:5]
 # a 20,000-pixel read, against 11 with 2,048-row chunks)
 _WRITE_CHUNK_PIXELS = 512
 _READ_CHUNK_ROWS = 1024
+# bytes of whole lines read per chunk by numpy's C parser: bounds the memory
+# that the raw text and its parse take at once, whatever the file's size
+_READ_CHUNK_BYTES = 1 << 20
+_HEADER_LINE = (",".join(DATASET_HEADER) + "\n").encode()
+# the only bytes a chunk may hold for the C parser to read it (see `_parse_chunk`)
+_CHUNK_BYTES = b"0123456789+-.eE,\n"
+_CHUNK_DTYPE = np.dtype([(name, np.int64) for name in _INT_COLUMNS]
+                        + [(name, np.float64) for name in DATASET_HEADER[5:]])
 
 
 def _dataset_rows(chunk: tuple[list[tuple[int, int, int]], np.ndarray, np.ndarray],
@@ -266,22 +283,87 @@ def _convert_column(name: str, cells: tuple[str, ...]) -> tuple[np.ndarray, np.n
     return arr, bad | (~np.isfinite(arr) & ~empty)
 
 
-def _read_dataset_columns(csv_path, reader):
-    """Tokenize the data rows of dataset.csv a chunk at a time and convert
-    each column of a chunk in one pass.
+def _parse_chunk(chunk: bytes) -> np.ndarray | None:
+    """The rows of `chunk`, whole dataset.csv lines, parsed by numpy's C
+    parser into `_CHUNK_DTYPE`, an empty NDVI cell giving NaN; or None when
+    the chunk is left to the csv path because the C parser could read it
+    otherwise than `_convert_column` does:
+    * a byte outside `_CHUNK_BYTES` (a literal nan or inf, a quote, `\\r`, a
+      pad, a `#`, an underscore, non-ASCII text);
+    * a line the parser skips (a blank line) or a failed parse (a wrong field
+      count, a bad or out-of-range number; warnings count as failures, since
+      numpy before 2.0 reads `1.0` into an int column with a warning);
+    * a non-finite value other than an empty NDVI cell (`1e999` is inf)."""
+    if chunk.translate(None, _CHUNK_BYTES):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(io.BytesIO(chunk.replace(b",,", b",nan,")), dtype=_CHUNK_DTYPE,
+                              delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    if rows.shape[0] != chunk.count(b"\n") + (not chunk.endswith(b"\n")):
+        return None
+    if np.isinf(rows["ndvi"]).any() or not all(np.isfinite(rows[c]).all() for c in _RAW_TO_CHANNEL):
+        return None
+    return rows
+
+
+def _parse_chunks(fh) -> tuple[list[np.ndarray], int | None]:
+    """The data rows that numpy's C parser reads from the start of the binary
+    dataset.csv `fh`, as `_parse_chunk` arrays of about `_READ_CHUNK_BYTES`
+    of lines each, and the byte offset at which the csv path takes over:
+    None when the parser reads the whole file, 0 when the first line is not
+    exactly the header."""
+    chunks: list[np.ndarray] = []
+    if fh.readline(len(_HEADER_LINE)) != _HEADER_LINE:
+        return chunks, 0
+    offset = len(_HEADER_LINE)
+    while True:
+        fh.seek(offset)
+        block = fh.read(_READ_CHUNK_BYTES)
+        if not block:
+            return chunks, None
+        # a short read ends at the end of the file, whose last line may lack
+        # its newline; a line longer than a block goes to the csv path
+        size = len(block) if len(block) < _READ_CHUNK_BYTES else block.rfind(b"\n") + 1
+        rows = _parse_chunk(block[:size]) if size else None
+        if rows is None:
+            return chunks, offset
+        chunks.append(rows)
+        offset += size
+
+
+def _read_dataset_columns(csv_path, fh):
+    """Read the data rows of the binary dataset.csv `fh` into columns.
+
+    Numpy's C parser reads whole chunks while it can (`_parse_chunks`).  From
+    the first chunk it leaves, or from the header when that is not exactly
+    the expected line, to the end of the file, the `csv` module tokenizes
+    `_READ_CHUNK_ROWS` rows at a time and each column of those rows is
+    converted in one pass; only this path rejects cells and names errors.
 
     Returns (columns, invalid, last, stop):
     * columns: name -> array over the rows read (see `_convert_column`);
     * invalid: name -> mask of the cells the column's parser rejects;
-    * last: (index of its first row, its raw columns) of the last chunk;
+    * last: (index of its first row, its raw columns) of the last csv chunk;
     * stop: the error of the row that ended the reading early, a wrong field
       count or a tokenizer error, or None.
-    Reading stops after a chunk with an invalid cell, since no later row can
-    hold the first error."""
+    Reading stops after a csv chunk with an invalid cell, since no later row
+    can hold the first error."""
     width = len(DATASET_HEADER)
-    parts: dict[str, list[np.ndarray]] = {name: [] for name in DATASET_HEADER}
-    invalid: dict[str, list[np.ndarray]] = {name: [] for name in DATASET_HEADER}
-    n = 0
+    chunks, offset = _parse_chunks(fh)
+    n = sum(rows.shape[0] for rows in chunks)
+    parts = {name: [rows[name] for rows in chunks] for name in DATASET_HEADER}
+    invalid = {name: [np.zeros(n, dtype=bool)] for name in DATASET_HEADER}
+    reader = iter(())
+    if offset is not None:
+        fh.seek(offset)
+        reader = csv.reader(io.TextIOWrapper(fh, newline=""))
+    if offset == 0:
+        _, header = next(_csv_rows(csv_path, reader), (1, None))
+        _check_header(csv_path, header, DATASET_HEADER)
     last: tuple[int, list[tuple[str, ...]]] = (0, [])
     stop = None
     while stop is None:
@@ -307,7 +389,7 @@ def _read_dataset_columns(csv_path, reader):
         if any(masks[-1].any() for masks in invalid.values()):
             break
     columns = {name: np.concatenate(p) if p else np.zeros(0, np.int64) for name, p in parts.items()}
-    masks = {name: np.concatenate(p) if p else np.zeros(0, bool) for name, p in invalid.items()}
+    masks = {name: np.concatenate(p) for name, p in invalid.items()}
     return columns, masks, last, stop
 
 
@@ -323,11 +405,8 @@ def read_dataset(path) -> Dataset:
     csv_path = path / DATASET_FILE
     if not csv_path.exists():
         raise FileFormatError(csv_path, "file not found")
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        _, header = next(_csv_rows(csv_path, reader), (1, None))
-        _check_header(csv_path, header, DATASET_HEADER)
-        cols, invalid, last, stop = _read_dataset_columns(csv_path, reader)
+    with open(csv_path, "rb") as fh:
+        cols, invalid, last, stop = _read_dataset_columns(csv_path, fh)
     pid, parcel, region, step, doy, ndvi = (cols[c] for c in DATASET_HEADER[:6])
     pixel_ids, first_of_pixel, pixel = np.unique(pid, return_index=True, return_inverse=True)
     steps, first_of_step, step_index = np.unique(step, return_index=True, return_inverse=True)
@@ -719,7 +798,11 @@ def _section_from_dict(cls: type, d: Mapping[str, Any], section: str) -> Any:
         raise ValueError(f"unknown keys {sorted(unknown)} in config section {section!r}")
     kwargs = {}
     for k, v in d.items():
-        kwargs[k] = _coerce(v, str(by_name[k].type), f"{section}.{k}")
+        where = f"{section}.{k}"
+        try:
+            kwargs[k] = _coerce(v, str(by_name[k].type), where)
+        except (TypeError, OverflowError) as e:
+            raise ValueError(f"{where}: cannot take {v!r}: {e}") from None
     return cls(**kwargs)
 
 
@@ -832,9 +915,13 @@ def write_manifest(
 
 def read_manifest(path) -> dict[str, Any]:
     data = read_json(path)
+    if not isinstance(data, dict):
+        raise FileFormatError(path, "manifest must be a JSON object")
     for key in ("tool", "version", "command", "config"):
         if key not in data:
             raise FileFormatError(path, f"manifest missing key {key!r}")
     if data["tool"] != MANIFEST_TOOL:
         raise FileFormatError(path, f"manifest written by {data['tool']!r}, not {MANIFEST_TOOL!r}")
+    if not isinstance(data["config"], dict):
+        raise FileFormatError(path, "manifest config must be a JSON object")
     return data

@@ -135,6 +135,33 @@ class TestExitCodes:
         assert rc == 2
         assert "the architecture has" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("seed", None), ("learning_rate", [1])])
+    def test_ill_typed_config_value_exits_two(self, tmp_path, capsys, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {key: value}}))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"train.{key}: cannot take" in capsys.readouterr().err
+
+    def test_ill_typed_env_override_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("GAPFUSE_TRAIN_SEED", "null")
+        assert main(["synth", "--out", str(tmp_path / "o")]) == 2
+        assert "train.seed: cannot take None" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doctor, message", [
+        (lambda m: {**m, "config": {**m["config"], "train": {**m["config"]["train"], "seed": None}}},
+         "train.seed: cannot take None"),
+        (lambda m: {**m, "config": [m["config"]]}, "manifest config must be a JSON object"),
+        (lambda m: [m], "manifest must be a JSON object"),
+        (lambda m: 5, "manifest must be a JSON object"),
+    ], ids=["ill_typed_value", "config_list", "list", "number"])
+    def test_doctored_manifest_replay_exits_two(self, ws, tmp_path, capsys, doctor, message):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doctor(read_json(ws["ds"] / "manifest.json"))))
+        rc = main(["experiment", "hidden", "--in", str(ws["ds"]), "--out", str(tmp_path / "o"),
+                   "--from-manifest", str(manifest)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["--version"])

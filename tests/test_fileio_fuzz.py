@@ -4,7 +4,9 @@
 after a check fails.  Here it is compared against `reference_read`, a
 row-by-row reader that stops at the first bad cell, on small dataset files
 with a few cells or rows mutated: both must accept a file with bitwise equal
-arrays, or both must reject it with the same error, row and column."""
+arrays, or both must reject it with the same error, row and column.  The
+read chunk sizes are shrunk so that one file is split between chunks that
+numpy's C parser reads and chunks left to the csv path."""
 
 import contextlib
 import csv
@@ -15,6 +17,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -153,12 +156,13 @@ CELL_VALUES = ["abc", "", " ", "nan", "NaN", "inf", "-inf", "1e999", "1.5", "-1.
 @st.composite
 def mutation(draw):
     """One edit of the file's data lines: (kind, arguments)."""
-    kind = draw(st.sampled_from(["cell"] * 6 + ["pad", "quote", "underscore", "step", "extra", "drop_field",
+    kind = draw(st.sampled_from(["cell"] * 6 + ["pad", "tab", "quote", "underscore", "step", "extra",
+                                                 "trailing_comma", "drop_field", "crlf", "comment",
                                                  "duplicate", "delete", "blank", "swap"]))
     row = draw(st.integers(0, N_ROWS - 1))
     if kind == "cell":
         return kind, row, draw(st.integers(0, 9)), draw(st.sampled_from(CELL_VALUES))
-    if kind in ("pad", "quote", "underscore"):
+    if kind in ("pad", "tab", "quote", "underscore"):
         return kind, row, draw(st.integers(0, 9)), None
     if kind == "step":
         return kind, row, 3, str(draw(st.sampled_from([0, 1, 2, 3, 4, 5, 7, -1, 10 ** 12])))
@@ -178,21 +182,29 @@ def _apply(lines: list[str], edit) -> list[str]:
         cells[arg] = value
     elif kind == "pad" and arg < len(cells):
         cells[arg] = f" {cells[arg]} "
+    elif kind == "tab" and arg < len(cells):
+        cells[arg] = f"\t{cells[arg]}"
     elif kind == "quote" and arg < len(cells):
         cells[arg] = f'"{cells[arg]}"'
     elif kind == "underscore" and arg < len(cells) and len(cells[arg]) > 1:
         cells[arg] = cells[arg][0] + "_" + cells[arg][1:]
     elif kind == "extra":
         cells.append("0")
+    elif kind == "trailing_comma":
+        cells.append("")
     elif kind == "drop_field":
         cells.pop()
     data[row] = ",".join(cells)
-    if kind == "duplicate":
+    if kind == "crlf":
+        data[row] += "\r"
+    elif kind == "duplicate":
         data.insert(arg % (len(data) + 1), data[row])
     elif kind == "delete":
         del data[row]
     elif kind == "blank":
         data.insert(row, "")
+    elif kind == "comment":
+        data.insert(row, "# a comment")
     elif kind == "swap":
         other = arg % len(data)
         data[row], data[other] = data[other], data[row]
@@ -225,6 +237,16 @@ def _outcome(read, path):
 @example(edits=[("step", 2, 3, "1000000000000")], chunk=1024)
 @example(edits=[("delete", 2, None, None)], chunk=1)
 @example(edits=[("cell", 2, 6, "1_0"), ("pad", 3, 8, None), ("quote", 4, 0, None)], chunk=2)
+# bytes the C parser leaves to the csv path, and an overflow it parses as inf
+@example(edits=[("crlf", 3, None, None)], chunk=2)
+@example(edits=[("comment", 8, None, None)], chunk=1)
+@example(edits=[("trailing_comma", 10, None, None)], chunk=5)
+@example(edits=[("tab", 6, 0, None)], chunk=1024)
+@example(edits=[("cell", 0, 5, "1e999")], chunk=1)
+@example(edits=[("cell", 11, 6, "1e999")], chunk=1024)
+@example(edits=[("cell", 5, 7, "1e999")], chunk=2)
+@example(edits=[("cell", 8, 8, "1e999")], chunk=5)
+@example(edits=[("cell", 3, 9, "1e999")], chunk=1)
 def test_reader_matches_row_by_row_reference(edits, chunk):
     lines = VALID_LINES
     for edit in edits:
@@ -234,7 +256,9 @@ def test_reader_matches_row_by_row_reference(edits, chunk):
         src.mkdir()
         (src / "dataset.csv").write_text("\n".join(lines) + "\n")
         want, want_err = _outcome(reference_read, src)
-        with mock.patch.object(fileio, "_READ_CHUNK_ROWS", chunk):
+        # about `chunk` lines per C-parsed chunk too (a line is 88-109 bytes)
+        with mock.patch.object(fileio, "_READ_CHUNK_ROWS", chunk), \
+                mock.patch.object(fileio, "_READ_CHUNK_BYTES", 128 * chunk):
             got, got_err = _outcome(read_dataset, src)
             with contextlib.redirect_stderr(io.StringIO()):
                 rc = main(["preprocess", "--in", str(src), "--out", str(Path(d) / "out")])
@@ -247,6 +271,11 @@ def test_reader_matches_row_by_row_reference(edits, chunk):
         assert rc == 2
         return
     assert got_err is None, f"rejected a file the reference accepts: {got_err}"
+    _assert_same(got, want)
+    assert rc == 0
+
+
+def _assert_same(got: Dataset, want) -> None:
     grid, pixels = want
     assert got.grid == grid
     assert len(got.pixels) == len(pixels)
@@ -255,4 +284,32 @@ def test_reader_matches_row_by_row_reference(edits, chunk):
         assert px.ndvi.tobytes() == ndvi.tobytes()
         for name in sar:
             assert px.sar[name].tobytes() == sar[name].tobytes(), name
-    assert rc == 0
+
+
+@pytest.mark.parametrize("chunk_bytes", [128, 300, 1 << 20])
+def test_valid_file_is_read_by_the_c_parser_alone(tmp_path, chunk_bytes):
+    """A file as `write_dataset` writes it never reaches the csv path, in one
+    chunk or in many."""
+    write_dataset(_valid_dataset(), tmp_path)
+    (tmp_path / "labels.csv").unlink()  # read_labels tokenizes with csv.reader
+    want = reference_read(tmp_path)
+    refuse = mock.Mock(side_effect=AssertionError("the csv path was taken"))
+    with mock.patch.object(fileio, "_READ_CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(fileio.csv, "reader", refuse), mock.patch.object(fileio, "_convert_cells", refuse):
+        got = read_dataset(tmp_path)
+    _assert_same(got, want)
+
+
+@pytest.mark.parametrize("column", range(5))
+def test_float_text_in_an_id_column_is_not_an_integer(tmp_path, column):
+    """numpy's C parser, before numpy 2.0, reads `1.0` into an int column
+    with only a warning; the reader still names the cell."""
+    lines = list(VALID_LINES)
+    cells = lines[3].split(",")
+    cells[column] = "1.0"
+    lines[3] = ",".join(cells)
+    (tmp_path / "dataset.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as e:
+        read_dataset(tmp_path)
+    assert str(e.value).endswith("not an integer: '1.0'")
+    assert (e.value.row, e.value.column) == (4, HEADER[column])
