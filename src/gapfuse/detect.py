@@ -22,6 +22,7 @@ from .sfmodel import (
     SfNet,
     TrainConfig,
     fill_batch,
+    infer,
     predict_batch,
 )
 
@@ -226,11 +227,7 @@ def train_dnn_detector(
     shuffle_rng = np.random.default_rng(shuffle_ss)
 
     def eval_loss(idx: np.ndarray) -> float:
-        probs = np.vstack([
-            net.forward(x_all[idx[lo:lo + 1024]], flags_all[idx[lo:lo + 1024]])
-            for lo in range(0, idx.size, 1024)
-        ])
-        return weighted_bce(probs, labels[idx], w_all[idx])
+        return weighted_bce(infer(net, x_all[idx], flags_all[idx]), labels[idx], w_all[idx])
 
     monitor = val_idx if val_idx.size else train_idx
     best = np.inf

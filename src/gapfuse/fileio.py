@@ -801,7 +801,9 @@ def _section_from_dict(cls: type, d: Mapping[str, Any], section: str) -> Any:
         where = f"{section}.{k}"
         try:
             kwargs[k] = _coerce(v, str(by_name[k].type), where)
-        except (TypeError, OverflowError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
+            if str(e).startswith(f"{where}:"):
+                raise
             raise ValueError(f"{where}: cannot take {v!r}: {e}") from None
     return cls(**kwargs)
 

@@ -434,16 +434,12 @@ def train(
     adam = AdamState(learning_rate=config.learning_rate)
 
     def eval_loss(idx: np.ndarray) -> float:
-        total_w = float(np.sum(w_all[idx]))
+        w = w_all[idx]
+        total_w = float(np.sum(w))
         if total_w == 0.0:
             return float("nan")
-        acc = 0.0
-        for lo in range(0, idx.size, 1024):
-            sel = idx[lo:lo + 1024]
-            pred = net.forward(x_all[sel], flags_all[sel])
-            d = pred.astype(np.float64) - t_all[sel].astype(np.float64)
-            acc += float(np.sum(w_all[sel] * d * d))
-        return acc / total_w
+        d = infer(net, x_all[idx], flags_all[idx]) - t_all[idx]
+        return float(np.sum(w * d * d)) / total_w
 
     train_losses: list[float] = []
     val_losses: list[float] = []
@@ -452,8 +448,8 @@ def train(
     best_state: dict[str, np.ndarray] | None = None
     bad = 0
     monitor_idx = val_idx if val_idx.size else train_idx
-    stopped = config.max_epochs - 1
     for epoch in range(config.max_epochs):
+        stopped = epoch
         order = shuffle_rng.permutation(train_idx)
         run_num = 0.0
         run_den = 0.0
@@ -481,9 +477,7 @@ def train(
         else:
             bad += 1
         if bad >= config.early_stop_patience:
-            stopped = epoch
             break
-        stopped = epoch
     if best_state is not None:
         net.set_state(best_state)
 
@@ -500,18 +494,25 @@ def train(
     return model, report
 
 
-def predict_batch(model: SfModel, ndvi: np.ndarray, sar: np.ndarray, batch: int = 1024) -> np.ndarray:
+def infer(net: SfNet, x: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """(N, T) float64 output of `net` for (N, T, C) inputs and (N, T) flags,
+    forwarded a default training batch of rows at a time: each forward keeps
+    its backward caches, so inference holds no more than a training step."""
+    out = np.empty(x.shape[:2], dtype=np.float64)
+    rows = TrainConfig().batch_size
+    for lo in range(0, x.shape[0], rows):
+        out[lo:lo + rows] = net.forward(x[lo:lo + rows], flags[lo:lo + rows])
+    return out
+
+
+def predict_batch(model: SfModel, ndvi: np.ndarray, sar: np.ndarray) -> np.ndarray:
     """Model output for (N, T) NaN-coded NDVI plus (N, T, 8) radar stacks;
     T must be the length of the grid the model was trained on."""
     ndvi = np.asarray(ndvi)
     if ndvi.ndim != 2 or ndvi.shape[1] != model.grid.length:
         raise ValueError(f"series shape {ndvi.shape} does not match the model's grid length "
                          f"{model.grid.length}")
-    x, flags = encode_arrays(ndvi, sar, model.stats, model.arch)
-    out = np.empty(ndvi.shape, dtype=np.float64)
-    for lo in range(0, ndvi.shape[0], batch):
-        out[lo:lo + batch] = model.net.forward(x[lo:lo + batch], flags[lo:lo + batch]).astype(np.float64)
-    return out
+    return infer(model.net, *encode_arrays(ndvi, sar, model.stats, model.arch))
 
 
 def predict_pixel(model: SfModel, pixel: PixelSeries) -> np.ndarray:

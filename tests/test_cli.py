@@ -162,6 +162,36 @@ class TestExitCodes:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["env", "config", "manifest"])
+    @pytest.mark.parametrize("key, raw, message", [
+        ("seed", "NaN", "train.seed: cannot take nan: cannot convert float NaN to integer"),
+        ("seed", "abc", "train.seed: cannot take 'abc': invalid literal for int()"),
+        ("learning_rate", "fast", "train.learning_rate: cannot take 'fast': could not convert"),
+        ("seed", "1.5", "train.seed: expected an integer, got 1.5"),
+    ])
+    def test_unconvertible_config_value_exits_two_naming_the_key(
+            self, ws, tmp_path, capsys, monkeypatch, source, key, raw, message):
+        """The key is named once, wherever the value comes from."""
+        value = json.loads(raw) if raw in ("NaN", "1.5") else raw
+        argv = ["synth", "--out", str(tmp_path / "o")]
+        if source == "env":
+            monkeypatch.setenv(f"GAPFUSE_TRAIN_{key.upper()}", raw)
+        elif source == "config":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"train": {key: value}}))
+            argv += ["--config", str(config)]
+        else:
+            m = read_json(ws["ds"] / "manifest.json")
+            m["config"]["train"][key] = value
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps(m))
+            argv = ["experiment", "hidden", "--in", str(ws["ds"]), "--out", str(tmp_path / "o"),
+                    "--from-manifest", str(manifest)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count(f"train.{key}") == 1
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["--version"])

@@ -14,6 +14,7 @@ from gapfuse import (
     SynthConfig,
     TemporalGrid,
     TrainConfig,
+    TrainingSet,
     assemble_training_set,
     cloud_filter,
     encode_arrays,
@@ -24,6 +25,7 @@ from gapfuse import (
     sar_stack,
     synth_dataset,
     train,
+    train_dnn_detector,
 )
 from gapfuse.neural import grad_check
 
@@ -309,6 +311,56 @@ class TestPrediction:
         flags = cloud_filter(model, px, threshold=-10.0)
         assert np.array_equal(flags, px.present)
         assert not cloud_filter(model, px, threshold=10.0).any()
+
+
+class TestInferencePath:
+    """Every forward outside a training step sees at most one default
+    training batch of rows, and chunking leaves predictions unchanged."""
+
+    ROWS = TrainConfig().batch_size
+
+    @pytest.fixture
+    def forwarded(self, monkeypatch):
+        rows = []
+        forward = SfNet.forward
+
+        def spy(self, x, *args, **kwargs):
+            rows.append(x.shape[0])
+            return forward(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(SfNet, "forward", spy)
+        return rows
+
+    def test_predict_batch_chunks_match_one_whole_forward(self, tiny_model, training, forwarded):
+        model, _ = tiny_model
+        take = np.arange(2 * self.ROWS + 3) % training.n
+        ndvi, sar = training.ndvi_in[take], training.sar[take]
+        pred = predict_batch(model, ndvi, sar)
+        assert forwarded == [self.ROWS, self.ROWS, 3]
+        whole = model.net.forward(*encode_arrays(ndvi, sar, model.stats, model.arch))
+        assert np.array_equal(pred, whole.astype(np.float64))
+
+    def test_regression_validation_pass(self, training, forwarded):
+        take = np.arange(600) % training.n
+        tiled = TrainingSet(
+            grid=training.grid, ndvi_in=training.ndvi_in[take], sar=training.sar[take],
+            target=training.target[take], weight_class=training.weight_class[take],
+            pixel_ids=np.arange(600), parcel_ids=np.arange(600) // 100,
+            region_ids=training.region_ids[take], mask_coverages=training.mask_coverages[take],
+        )
+        _, report = train(tiled, TrainConfig(max_epochs=1, validation_fraction=0.5, seed=0), TINY_ARCH)
+        assert report.n_val == 300
+        assert sum(forwarded) == report.n_train + report.n_val
+        assert max(forwarded) <= self.ROWS
+
+    def test_detector_validation_pass(self, forwarded):
+        rng = np.random.default_rng(3)
+        series = rng.uniform(0.1, 0.9, (600, GRID.length))
+        labels = np.zeros_like(series)
+        labels[np.arange(600), rng.integers(0, GRID.length, 600)] = 1.0
+        train_dnn_detector(series, labels, GRID, TrainConfig(max_epochs=1, validation_fraction=0.5))
+        assert sum(forwarded) == 600
+        assert max(forwarded) <= self.ROWS
 
 
 class TestFeatureGroups:
