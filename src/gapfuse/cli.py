@@ -196,19 +196,14 @@ def _cmd_train(args, config: RunConfig, run: _Run) -> None:
         rng = np.random.default_rng(np.random.SeedSequence((config.train.seed, 13)))
         training = assemble_training_set(ds, pools, rng, config.outlier, config.density)
         model, report = train(training, config.train)
-        save_model(model, out)
-        run.wrote(out)
-        report_path = out.with_name(out.stem + ".report.json")
-        write_json(report_path, dataclasses.asdict(report))
-        run.wrote(report_path)
     else:
         series, labels = _filled_parcel_series(args, config, ds, run)
         model, report = train_dnn_detector(series, labels, ds.grid, config.train)
-        save_model(model, out)
-        run.wrote(out)
-        report_path = out.with_name(out.stem + ".report.json")
-        write_json(report_path, report)
-        run.wrote(report_path)
+    save_model(model, out)
+    run.wrote(out)
+    report_path = out.with_name(out.stem + ".report.json")
+    write_json(report_path, dataclasses.asdict(report))
+    run.wrote(report_path)
     run.finish(_sibling_manifest(out))
 
 

@@ -7,23 +7,24 @@ network's NDVI branch with a sigmoid head, trained on binary event series).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import find_peaks
 
 from .core import Dataset, ParcelLabel, TemporalGrid, parcel_aggregates
-from .neural import AdamState, weighted_bce, weighted_bce_grad
+from .neural import weighted_bce, weighted_bce_grad
 from .preprocess import OutlierParams, remove_outliers
 from .sfmodel import (
     NormStats,
     SfArchitecture,
     SfModel,
-    SfNet,
     TrainConfig,
+    TrainReport,
     fill_batch,
-    infer,
+    fit,
     predict_batch,
+    split_rng,
 )
 
 
@@ -189,12 +190,13 @@ def train_dnn_detector(
     labels: np.ndarray,
     grid: TemporalGrid,
     config: TrainConfig = TrainConfig(),
-) -> tuple[SfModel, dict]:
+) -> tuple[SfModel, TrainReport]:
     """Train the NDVI-only sigmoid-head variant on binary event series.
 
     Loss is per-step binary cross-entropy with the positive class weighted
-    by (#negatives / #positives) of the training split.  Early stopping and
-    determinism follow the regression trainer's contract.
+    by (#negatives / #positives) of the training split.  The validation
+    split holds whole series; `fit` runs the epochs, so early stopping and
+    determinism are the regression trainer's.
     """
     series = np.asarray(series, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -203,10 +205,8 @@ def train_dnn_detector(
     if np.isnan(series).any():
         raise ValueError("detector training series must be fully present")
     arch = SfArchitecture(channels=("ndvi",), head="detection")
-    ss = np.random.SeedSequence(config.seed)
-    init_ss, split_ss, shuffle_ss = ss.spawn(3)
     n = series.shape[0]
-    perm = np.random.default_rng(split_ss).permutation(n)
+    perm = split_rng(config.seed).permutation(n)
     n_val = int(round(config.validation_fraction * n))
     val_idx = perm[:n_val]
     train_idx = perm[n_val:]
@@ -218,59 +218,13 @@ def train_dnn_detector(
     if pos == 0:
         raise ValueError("no positive steps in the training labels")
     pos_weight = neg / pos
-    w_all = np.where(labels > 0.5, pos_weight, 1.0)
-
-    x_all = series[:, :, None].astype(np.float32)
-    flags_all = np.ones(series.shape, dtype=np.float32)
-    net = SfNet(arch, np.random.default_rng(init_ss))
-    adam = AdamState(learning_rate=config.learning_rate)
-    shuffle_rng = np.random.default_rng(shuffle_ss)
-
-    def eval_loss(idx: np.ndarray) -> float:
-        return weighted_bce(infer(net, x_all[idx], flags_all[idx]), labels[idx], w_all[idx])
-
-    monitor = val_idx if val_idx.size else train_idx
-    best = np.inf
-    best_state = None
-    best_epoch = -1
-    bad = 0
-    losses = []
-    val_losses = []
-    for epoch in range(config.max_epochs):
-        order = shuffle_rng.permutation(train_idx)
-        run = []
-        for lo in range(0, order.size, config.batch_size):
-            sel = order[lo:lo + config.batch_size]
-            probs = net.forward(x_all[sel], flags_all[sel])
-            loss, dprob = weighted_bce_grad(probs, labels[sel], w_all[sel])
-            net.zero_grads()
-            net.backward(dprob)
-            adam.step(net.params())
-            run.append(loss)
-        losses.append(float(np.mean(run)))
-        vloss = eval_loss(monitor)
-        val_losses.append(vloss)
-        if vloss < best:
-            best, best_epoch, best_state, bad = vloss, epoch, net.get_state(), 0
-        else:
-            bad += 1
-        if bad >= config.early_stop_patience:
-            break
-    if best_state is not None:
-        net.set_state(best_state)
-    model = SfModel(
-        arch=arch,
-        stats=NormStats(channels=(), mean=np.zeros(0), sd=np.zeros(0)),
-        grid=grid,
-        net=net,
-    )
-    report = {
-        "train_losses": losses,
-        "val_losses": val_losses,
-        "best_epoch": best_epoch,
-        "pos_weight": pos_weight,
-    }
-    return model, report
+    net, report = fit(arch, series[:, :, None].astype(np.float32), np.ones(series.shape, dtype=np.float32),
+                      labels, np.where(labels > 0.5, pos_weight, 1.0), weighted_bce, weighted_bce_grad,
+                      train_idx, val_idx, config)
+    # the NDVI-only network has no radar channels to z-score
+    stats = NormStats.from_sar(np.zeros(series.shape + (0,)), arch.sar_channels)
+    model = SfModel(arch=arch, stats=stats, grid=grid, net=net)
+    return model, replace(report, pos_weight=pos_weight)
 
 
 ALGORITHMS = ("mda1", "mda2", "dnn")

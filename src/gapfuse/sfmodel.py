@@ -11,7 +11,7 @@ cloud-filter rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -119,8 +119,8 @@ class NormStats:
 
     @staticmethod
     def from_sar(sar: np.ndarray, channels: tuple[str, ...]) -> "NormStats":
-        """sar: (N, T, C) stack ordered like `channels`."""
-        flat = sar.reshape(-1, sar.shape[-1]).astype(np.float64)
+        """sar: (N, T, C) stack ordered like `channels`; C may be 0."""
+        flat = sar.reshape(sar.shape[0] * sar.shape[1], sar.shape[-1]).astype(np.float64)
         return NormStats(channels=channels, mean=flat.mean(axis=0), sd=flat.std(axis=0))
 
 
@@ -275,7 +275,8 @@ class TrainReport:
     stopped_epoch: int
     n_train: int
     n_val: int
-    mask_coverage_mean: float
+    mask_coverage_mean: float | None = None  # regression head
+    pos_weight: float | None = None  # detection head
 
 
 @dataclass
@@ -400,46 +401,69 @@ def train(
     """Fit the network on an assembled training set.
 
     Deterministic for a fixed (training, config, arch): parameter init,
-    validation split and batch order all derive from config.seed.  Early
-    stopping watches the parcel-level validation split and the best-epoch
-    parameters are restored at the end.
+    validation split and batch order all derive from config.seed.  The
+    validation split holds whole parcels, at least one when
+    validation_fraction > 0; `fit` runs the epochs.
     """
-    ss = np.random.SeedSequence(config.seed)
-    init_ss, split_ss, shuffle_ss = ss.spawn(3)
-    split_rng = np.random.default_rng(split_ss)
-    shuffle_rng = np.random.default_rng(shuffle_ss)
-
     parcels = np.unique(training.parcel_ids)
     n_val_parcels = int(round(config.validation_fraction * parcels.size))
     if config.validation_fraction > 0 and parcels.size >= 2:
         n_val_parcels = max(n_val_parcels, 1)
-    val_parcels = set(split_rng.permutation(parcels)[:n_val_parcels].tolist())
-    is_val = np.isin(training.parcel_ids, sorted(val_parcels))
+    val_parcels = split_rng(config.seed).permutation(parcels)[:n_val_parcels]
+    is_val = np.isin(training.parcel_ids, val_parcels)
     train_idx = np.flatnonzero(~is_val)
     val_idx = np.flatnonzero(is_val)
     if train_idx.size == 0:
         raise ValueError("validation split left no training samples")
 
-    if arch.sar_channels:
-        cols = [SAR_CHANNELS.index(c) for c in arch.sar_channels]
-        stats = NormStats.from_sar(training.sar[train_idx][:, :, cols], arch.sar_channels)
-    else:
-        stats = NormStats(channels=(), mean=np.zeros(0), sd=np.zeros(0))
+    cols = [SAR_CHANNELS.index(c) for c in arch.sar_channels]
+    stats = NormStats.from_sar(training.sar[train_idx][:, :, cols], arch.sar_channels)
+    x, flags = encode_arrays(training.ndvi_in, training.sar, stats, arch)
+    net, report = fit(arch, x, flags, training.target.astype(np.float32),
+                      _class_weights(training.weight_class, config), weighted_mse, weighted_mse_grad,
+                      train_idx, val_idx, config)
+    model = SfModel(arch=arch, stats=stats, grid=training.grid, net=net)
+    return model, replace(report, mask_coverage_mean=float(np.mean(training.mask_coverages)))
 
-    x_all, flags_all = encode_arrays(training.ndvi_in, training.sar, stats, arch)
-    w_all = _class_weights(training.weight_class, config)
-    t_all = training.target.astype(np.float32)
 
+def split_rng(seed: int) -> np.random.Generator:
+    """The validation-split stream of `seed`: the second of the three streams
+    `fit` spawns from it (model init, split, batch order)."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+
+
+def fit(
+    arch: SfArchitecture,
+    x: np.ndarray,
+    flags: np.ndarray,
+    target: np.ndarray,
+    weights: np.ndarray,
+    loss,
+    loss_grad,
+    train_idx: np.ndarray,
+    val_idx: np.ndarray,
+    config: TrainConfig,
+) -> tuple[SfNet, TrainReport]:
+    """Train a new SfNet of `arch` with Adam and early stopping: the one
+    epoch loop of both heads.
+
+    Rows `train_idx` of the (N, T, C) inputs `x` and (N, T) `flags` are
+    shuffled into batches; a batch whose (N, T) `weights` are all zero is
+    skipped.  `loss(pred, target, weights)` is a weight-normalised mean and
+    `loss_grad` also returns its gradient, which sees the weights in the
+    target's dtype.  An epoch's training loss is the weight-normalised mean
+    of its batch losses.  Early stopping watches the loss on `val_idx` (on
+    `train_idx` when `val_idx` is empty), NaN when its weights sum to 0, and
+    the best epoch's parameters are restored at the end.
+    """
+    if not np.sum(weights[train_idx]) > 0:
+        raise ValueError("no training step has a positive loss weight")
+    init_ss, _, shuffle_ss = np.random.SeedSequence(config.seed).spawn(3)
+    shuffle_rng = np.random.default_rng(shuffle_ss)
     net = SfNet(arch, np.random.default_rng(init_ss))
     adam = AdamState(learning_rate=config.learning_rate)
-
-    def eval_loss(idx: np.ndarray) -> float:
-        w = w_all[idx]
-        total_w = float(np.sum(w))
-        if total_w == 0.0:
-            return float("nan")
-        d = infer(net, x_all[idx], flags_all[idx]) - t_all[idx]
-        return float(np.sum(w * d * d)) / total_w
+    monitor = val_idx if val_idx.size else train_idx
+    monitor_w = weights[monitor]
 
     train_losses: list[float] = []
     val_losses: list[float] = []
@@ -447,27 +471,28 @@ def train(
     best_epoch = -1
     best_state: dict[str, np.ndarray] | None = None
     bad = 0
-    monitor_idx = val_idx if val_idx.size else train_idx
     for epoch in range(config.max_epochs):
-        stopped = epoch
         order = shuffle_rng.permutation(train_idx)
         run_num = 0.0
         run_den = 0.0
         for lo in range(0, order.size, config.batch_size):
             sel = order[lo:lo + config.batch_size]
-            w = w_all[sel]
+            w = weights[sel]
             if not np.any(w > 0):
                 continue
-            pred = net.forward(x_all[sel], flags_all[sel])
-            loss, dpred = weighted_mse_grad(pred, t_all[sel], w.astype(np.float32))
+            pred = net.forward(x[sel], flags[sel])
+            batch_loss, dpred = loss_grad(pred, target[sel], w.astype(target.dtype))
             net.zero_grads()
             net.backward(dpred)
             adam.step(net.params())
             bw = float(np.sum(w))
-            run_num += loss * bw
+            run_num += batch_loss * bw
             run_den += bw
         train_losses.append(run_num / max(run_den, 1e-12))
-        vloss = eval_loss(monitor_idx)
+        if np.sum(monitor_w) == 0.0:
+            vloss = float("nan")
+        else:
+            vloss = loss(infer(net, x[monitor], flags[monitor]), target[monitor], monitor_w)
         val_losses.append(vloss)
         if vloss < best_val:
             best_val = vloss
@@ -480,18 +505,14 @@ def train(
             break
     if best_state is not None:
         net.set_state(best_state)
-
-    model = SfModel(arch=arch, stats=stats, grid=training.grid, net=net)
-    report = TrainReport(
+    return net, TrainReport(
         train_losses=tuple(train_losses),
         val_losses=tuple(val_losses),
         best_epoch=best_epoch,
-        stopped_epoch=stopped,
+        stopped_epoch=epoch,
         n_train=int(train_idx.size),
         n_val=int(val_idx.size),
-        mask_coverage_mean=float(np.mean(training.mask_coverages)),
     )
-    return model, report
 
 
 def infer(net: SfNet, x: np.ndarray, flags: np.ndarray) -> np.ndarray:

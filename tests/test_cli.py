@@ -295,6 +295,20 @@ class TestTrain:
         assert rc == 0
         report = read_json(out.with_name(out.stem + ".report.json"))
         assert report["pos_weight"] > 1.0
+        assert report["mask_coverage_mean"] is None
+        regression = read_json(ws["model"].with_name(ws["model"].stem + ".report.json"))
+        assert regression["pos_weight"] is None
+        assert set(report) == set(regression)
+
+    def test_no_positive_loss_weight_exits_two(self, ws, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {"w_alpha": 0, "w_beta": 0, "w_interp": 0}}))
+        out = tmp_path / "m.gfm"
+        rc = main(["train", "--in", str(ws["ds"]), "--masks", str(ws["ds"] / "masks.csv"),
+                   "--out", str(out), "--epochs", "1", "--config", str(config)])
+        assert rc == 2
+        assert "no training step has a positive loss weight" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGapfill:

@@ -61,6 +61,46 @@ def tiny_model(training):
     return model, report
 
 
+def detection_data(n=48, seed=3):
+    """Noisy seasonal rows with one dip each; labels mark the dip."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0, 1, GRID.length)
+    series = np.clip(0.25 + 0.55 * np.sin(np.pi * t) + rng.normal(0, 0.02, (n, GRID.length)), 0.02, 0.98)
+    dips = rng.integers(6, 23, n)
+    series[np.arange(n), dips] -= 0.3
+    labels = np.zeros_like(series)
+    labels[np.arange(n), dips] = 1.0
+    return series, labels
+
+
+@pytest.fixture(scope="module")
+def tiny_detector():
+    return train_dnn_detector(*detection_data(), GRID, TrainConfig(max_epochs=3, batch_size=16, seed=1))
+
+
+def train_head(head, training, config):
+    if head == "regression":
+        return train(training, config, TINY_ARCH)
+    return train_dnn_detector(*detection_data(), GRID, config)
+
+
+@pytest.fixture(params=["regression", "detection"])
+def tiny_head(request):
+    """(head, (model, report)) of the tiny training run of each head."""
+    return request.param, request.getfixturevalue("tiny_model" if request.param == "regression"
+                                                  else "tiny_detector")
+
+
+# Per-epoch losses of the tiny runs, recorded before both heads shared one
+# epoch loop.  The detector's training loss is not pinned: it was then an
+# unweighted mean of the batch losses.
+PINNED_VAL_LOSSES = {
+    "regression": (0.6722210778595403, 0.5292118911472102, 0.39211020958918225),
+    "detection": (0.68527456747641, 0.6820348486831187, 0.6759745614901157),
+}
+PINNED_TRAIN_LOSSES = (0.903788821082637, 0.7646542511770766, 0.6274456189823676)
+
+
 class TestEncoding:
     def test_sentinel_and_flags(self):
         ndvi = np.array([[0.5, np.nan, 0.7]])
@@ -223,10 +263,11 @@ class TestAssembly:
 
 
 class TestTraining:
-    def test_deterministic(self, training):
-        cfg = TrainConfig(max_epochs=2, batch_size=64, seed=3)
-        m1, r1 = train(training, cfg, TINY_ARCH)
-        m2, r2 = train(training, cfg, TINY_ARCH)
+    @pytest.mark.parametrize("head", ["regression", "detection"])
+    def test_deterministic(self, training, head):
+        cfg = TrainConfig(max_epochs=2, batch_size=32, seed=3)
+        m1, r1 = train_head(head, training, cfg)
+        m2, r2 = train_head(head, training, cfg)
         assert r1.train_losses == r2.train_losses
         assert r1.val_losses == r2.val_losses
         s1, s2 = m1.net.get_state(), m2.net.get_state()
@@ -242,13 +283,24 @@ class TestTraining:
         _, report = tiny_model
         assert report.train_losses[-1] < report.train_losses[0]
 
-    def test_report_consistency(self, tiny_model):
-        _, report = tiny_model
+    def test_report_consistency(self, tiny_head):
+        head, (_, report) = tiny_head
         assert len(report.train_losses) == len(report.val_losses) == report.stopped_epoch + 1
         assert 0 <= report.best_epoch <= report.stopped_epoch
         assert report.val_losses[report.best_epoch] == min(report.val_losses)
         assert report.n_val > 0
-        assert 0.0 < report.mask_coverage_mean < 1.0
+        if head == "regression":
+            assert 0.0 < report.mask_coverage_mean < 1.0
+            assert report.pos_weight is None
+        else:
+            assert report.mask_coverage_mean is None
+            assert report.pos_weight > 1.0
+
+    def test_losses_match_the_separate_trainers(self, tiny_head):
+        head, (_, report) = tiny_head
+        assert report.val_losses == pytest.approx(PINNED_VAL_LOSSES[head], rel=1e-6)
+        if head == "regression":
+            assert report.train_losses == pytest.approx(PINNED_TRAIN_LOSSES, rel=1e-6)
 
     def test_params_stay_float32(self, tiny_model):
         model, _ = tiny_model
