@@ -168,14 +168,22 @@ def _double_logistic(doys: np.ndarray, v_min, v_peak, d_green, k1, d_sen, k2) ->
     return v_min + (v_peak - v_min) * rise * fall
 
 
-def _ar1(shape: tuple[int, int], sd: float, rho: float, rng: np.random.Generator) -> np.ndarray:
+def _ar1(shape: tuple[int, ...], sd, rho: float, rng: np.random.Generator) -> np.ndarray:
+    """AR(1) series along the last axis, with stationary standard deviation
+    `sd` (a scalar, or an array that broadcasts over the leading axes).  The
+    innovations are one draw of `shape`, so a block of series is bit-identical
+    to drawing its series one after another."""
     eps = rng.standard_normal(shape)
     z = np.empty(shape)
-    z[:, 0] = eps[:, 0]
+    z[..., 0] = eps[..., 0]
     s = np.sqrt(1.0 - rho**2)
-    for t in range(1, shape[1]):
-        z[:, t] = rho * z[:, t - 1] + s * eps[:, t]
+    for t in range(1, shape[-1]):
+        z[..., t] = rho * z[..., t - 1] + s * eps[..., t]
     return sd * z
+
+
+# stationary standard deviations of the radar noise: coh_vv, coh_vh, vv_db, vh_db
+RADAR_NOISE_SD = np.array([0.040, 0.045, 0.35, 0.40])
 
 
 def _draw_events(rng: np.random.Generator, cfg: SynthConfig) -> tuple[int, ...]:
@@ -291,10 +299,11 @@ def synth_dataset(cfg: SynthConfig) -> SynthResult:
         # radar reacts to biomass and to mowing, never to cirrus
         veg = np.clip((ndvi_true - v_min) / max(v_peak - v_min, 1e-6), 0.0, 1.0)
         coh_base = 0.25 + 0.45 * (1.0 - veg) + coh_jump
-        coh_vv = np.clip(coh_base[None, :] + _ar1((p, grid.length), 0.040, 0.5, rng), 0.02, 0.98)
-        coh_vh = np.clip(0.92 * coh_base[None, :] + _ar1((p, grid.length), 0.045, 0.5, rng), 0.02, 0.98)
-        vv_db = reg["vv0"] + 0.8 * veg[None, :] - 0.5 * bsc_dip[None, :] + _ar1((p, grid.length), 0.35, 0.5, rng)
-        vh_db = reg["vh0"] + 2.5 * veg[None, :] - bsc_dip[None, :] + _ar1((p, grid.length), 0.40, 0.5, rng)
+        noise = _ar1((4, p, grid.length), RADAR_NOISE_SD[:, None, None], 0.5, rng)
+        coh_vv = np.clip(coh_base[None, :] + noise[0], 0.02, 0.98)
+        coh_vh = np.clip(0.92 * coh_base[None, :] + noise[1], 0.02, 0.98)
+        vv_db = reg["vv0"] + 0.8 * veg[None, :] - 0.5 * bsc_dip[None, :] + noise[2]
+        vh_db = reg["vh0"] + 2.5 * veg[None, :] - bsc_dip[None, :] + noise[3]
 
         sar = features.derive_channels(vv_db, vh_db, coh_vv, coh_vh)
         ndvi_blocks.append(observed)

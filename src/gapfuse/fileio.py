@@ -656,6 +656,8 @@ def load_model(path) -> SfModel:
         for entry in header["params"]:
             lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]
             arr = np.frombuffer(body[lo:hi], dtype="<f4").reshape(entry["shape"])
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"parameter {entry['name']} holds a non-finite value")
             state[entry["name"]] = arr.astype(np.float32)
         net.set_state(state)
     except KeyError as e:

@@ -31,6 +31,27 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _column_sums(a2: np.ndarray) -> np.ndarray:
+    """Sums over the rows of a 2-D block as one matmul with a ones vector of
+    the block's dtype: a BLAS pass, where `a2.sum(axis=0)` reduces along
+    the strided axis several times slower."""
+    return np.ones(a2.shape[0], dtype=a2.dtype) @ a2
+
+
+def _shifts(width: int, t: int):
+    """(j, lo, hi, s) per offset j of a window of `width` steps that starts
+    pad = (width - 1) // 2 steps back, over a series of t steps: output steps
+    lo:hi read input steps lo + s:hi + s, with s = j - pad; the other output
+    steps would read the padding.  An offset that reads only padding (when
+    the window is longer than the series) is left out."""
+    pad = (width - 1) // 2
+    for j in range(width):
+        s = j - pad
+        lo, hi = max(0, -s), min(t, t - s)
+        if lo < hi:
+            yield j, lo, hi, s
+
+
 class Layer:
     """Base: stateless by default; subclasses cache what backward needs."""
 
@@ -73,13 +94,15 @@ class Dense(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        return x @ self.w + self.b
+        y = x @ self.w
+        y += self.b
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._x
         dy2 = dy.reshape(-1, dy.shape[-1])  # copies once when dy is a strided slice
         self.dw += x.reshape(-1, x.shape[-1]).T @ dy2
-        self.db += dy2.sum(axis=0)
+        self.db += _column_sums(dy2)
         return (dy2 @ self.w.T).reshape(*dy.shape[:-1], -1)
 
     def params(self):
@@ -110,30 +133,34 @@ class Conv1D(Layer):
         self._xshape: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """im2col without a padded copy: each tap's shifted slice of x goes
+        straight into its channel block of one zeroed (B, T, K*C) array."""
         b, t, c = x.shape
         k = self.kernel
-        pad = (k - 1) // 2
-        xp = np.zeros((b, t + k - 1, c), dtype=x.dtype)
-        xp[:, pad:pad + t] = x
-        cols = np.concatenate([xp[:, j:j + t] for j in range(k)], axis=2)  # (B,T,K*C)
+        cols = np.zeros((b, t, k * c), dtype=x.dtype)
+        for j, lo, hi, s in _shifts(k, t):
+            cols[:, lo:hi, j * c:(j + 1) * c] = x[:, lo + s:hi + s]
         self._cols = cols
         self._xshape = x.shape
-        return cols @ self.w.reshape(k * c, -1) + self.b
+        y = cols @ self.w.reshape(k * c, -1)
+        y += self.b
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        """Each tap's block of dcols is added, tap by tap, straight into a
+        contiguous dx: the same sums, in the same order, as through a
+        padded buffer."""
         b, t, c = self._xshape
         k = self.kernel
-        pad = (k - 1) // 2
-        cols = self._cols
         w2 = self.w.reshape(k * c, -1)
         dy2 = dy.reshape(-1, dy.shape[-1])
-        self.dw += (cols.reshape(-1, k * c).T @ dy2).reshape(self.w.shape)
-        self.db += dy2.sum(axis=0)
-        dcols = dy @ w2.T  # (B,T,K*C)
-        dxp = np.zeros((b, t + k - 1, c), dtype=dy.dtype)
-        for j in range(k):
-            dxp[:, j:j + t] += dcols[:, :, j * c:(j + 1) * c]
-        return dxp[:, pad:pad + t]
+        self.dw += (self._cols.reshape(-1, k * c).T @ dy2).reshape(self.w.shape)
+        self.db += _column_sums(dy2)
+        dcols = (dy2 @ w2.T).reshape(b, t, k * c)
+        dx = np.zeros((b, t, c), dtype=dcols.dtype)
+        for j, lo, hi, s in _shifts(k, t):
+            dx[:, lo + s:hi + s] += dcols[:, lo:hi, j * c:(j + 1) * c]
+        return dx
 
     def params(self):
         return [(f"{self.name}.w", self.w, self.dw), (f"{self.name}.b", self.b, self.db)]
@@ -185,11 +212,12 @@ class MaxPool1D(Layer):
         p = self.pool
         if p == 1:
             return dy
-        pad = (p - 1) // 2
-        dxp = np.zeros((b, t + p - 1, c), dtype=dy.dtype)
-        for j in range(p):
-            dxp[:, j:j + t] += dy * (self._argmax == j)
-        return dxp[:, pad:pad + t]
+        # each offset's share goes straight into a contiguous dx, skipping
+        # the steps whose window reaches past the series
+        dx = np.zeros((b, t, c), dtype=dy.dtype)
+        for j, lo, hi, s in _shifts(p, t):
+            dx[:, lo + s:hi + s] += dy[:, lo:hi] * (self._argmax[:, lo:hi] == j)
+        return dx
 
 
 class ReLU(Layer):
@@ -296,53 +324,63 @@ class LstmCell(Layer):
         """x (B, T, C) -> h (B, T, H).  The input projection x_t @ W_x + b is
         one matmul over all steps; only h_{t-1} @ W_h stays in the loop.
 
-        All four gates go through one tanh per step: gate = s * tanh(s * a) +
+        The gates are laid out gate-major, (4, T, B, H), so every
+        elementwise pass of a step runs over contiguous (B, H) blocks.  All
+        four gates go through one tanh per step: gate = s * tanh(s * a) +
         offset, with s = offset = 1/2 on the sigmoid gates f, i, o (sigmoid(a)
         = 0.5 * (1 + tanh(a / 2))) and s = 1, offset = 0 on the candidate.
         The inner scaling is folded into W_h and the projection."""
         b, t, c = x.shape
         h = self.hidden_size
-        scale = np.array([0.5, 0.5, 1.0, 0.5], dtype=self.w.dtype)[:, None]
-        offset = np.array([0.5, 0.5, 0.0, 0.5], dtype=self.w.dtype)[:, None]
-        w_h = (self.w[:h].reshape(h, 4, h) * scale).reshape(h, 4 * h)
+        scale = np.array([0.5, 0.5, 1.0, 0.5], dtype=self.w.dtype)[:, None, None]
+        offset = np.array([0.5, 0.5, 0.0, 0.5], dtype=self.w.dtype)[:, None, None]
+        # scaling by 1/2 is exact, so it can go into the weights and bias
+        w = (self.w.reshape(-1, 4, h) * scale[:, 0]).reshape(-1, 4 * h)
+        w_h = w[:h]
         x2 = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t * b, c)
-        acts = (x2 @ self.w[h:]).reshape(t, b, 4, h)  # pre-activations, then gates
-        acts += self.b.reshape(4, h)
-        acts *= scale
+        # pre-activations in the row-major layout of the fused weights; each
+        # step's tanh writes them gate-major into acts
+        pre = (x2 @ w[h:]).reshape(t, b, 4 * h)
+        pre += (self.b.reshape(4, h) * scale[:, 0]).reshape(-1)
+        acts = np.empty((4, t, b, h), dtype=w.dtype)
+        f, i, g, o = acts
         cs = np.empty((t, b, h), dtype=acts.dtype)
         tcs = np.empty_like(cs)
         hs = np.empty_like(cs)
         for ti in range(t):
-            a = acts[ti]
+            a = acts[:, ti]
             if ti:
-                a += (hs[ti - 1] @ w_h).reshape(b, 4, h)
-            np.tanh(a, out=a)
+                pre[ti] += hs[ti - 1] @ w_h
+            np.tanh(pre[ti].reshape(b, 4, h).transpose(1, 0, 2), out=a)
             a *= scale
             a += offset
-            np.multiply(a[:, 1], a[:, 2], out=cs[ti])
+            np.multiply(i[ti], g[ti], out=cs[ti])
             if ti:
-                cs[ti] += a[:, 0] * cs[ti - 1]
+                cs[ti] += f[ti] * cs[ti - 1]
             np.tanh(cs[ti], out=tcs[ti])
-            np.multiply(a[:, 3], tcs[ti], out=hs[ti])
+            np.multiply(o[ti], tcs[ti], out=hs[ti])
         self._cache = {"x2": x2, "acts": acts, "cs": cs, "tcs": tcs, "hs": hs}
         return hs.transpose(1, 0, 2)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         cache = self._cache
         x2, acts, cs, tcs, hs = cache["x2"], cache["acts"], cache["cs"], cache["tcs"], cache["hs"]
-        t, b, _, h = acts.shape
-        f, i, g, o = acts[:, :, 0], acts[:, :, 1], acts[:, :, 2], acts[:, :, 3]
-        # step-independent factors of the gate gradients, for all steps at once:
-        # dc_t = dc_carry + dh_t * dc_dh, da_o = dh_t * do_dh, and the f, i, C
-        # pre-activation gradients are dc_t times fic_dc
+        _, t, b, h = acts.shape
+        f, i, g, o = acts
+        # step-independent factors of the gate gradients, for all steps at once
+        # and gate-major: dc_t = dc_carry + dh_t * dc_dh, da_o = dh_t * do_dh,
+        # and the f, i, C pre-activation gradients are dc_t times fic_dc
         dc_dh = o * (1.0 - tcs * tcs)
         do_dh = tcs * o * (1.0 - o)
-        fic_dc = np.empty((t, b, 3, h), dtype=acts.dtype)
-        fic_dc[0, :, 0] = 0.0  # c_{-1} = 0
-        fic_dc[1:, :, 0] = cs[:-1] * f[1:] * (1.0 - f[1:])
-        fic_dc[:, :, 1] = g * i * (1.0 - i)
-        fic_dc[:, :, 2] = i * (1.0 - g * g)
+        fic_dc = np.empty((3, t, b, h), dtype=acts.dtype)
+        fic_dc[0, 0] = 0.0  # c_{-1} = 0
+        fic_dc[0, 1:] = cs[:-1] * f[1:] * (1.0 - f[1:])
+        fic_dc[1] = g * i * (1.0 - i)
+        fic_dc[2] = i * (1.0 - g * g)
+        # the pre-activation gradients land in the row-major (T, B, 4H)
+        # layout of the fused weights
         da = np.empty((t, b, 4, h), dtype=acts.dtype)
+        da_g = da.transpose(2, 0, 1, 3)
         w_hT = self.w[:h].T
         dyt = dy.transpose(1, 0, 2)
         dh_carry = np.zeros((b, h), dtype=da.dtype)
@@ -350,15 +388,15 @@ class LstmCell(Layer):
         for ti in range(t - 1, -1, -1):
             dh = dyt[ti] + dh_carry
             dc += dh * dc_dh[ti]
-            np.multiply(dh, do_dh[ti], out=da[ti, :, 3])
-            np.multiply(fic_dc[ti], dc[:, None, :], out=da[ti, :, :3])
+            np.multiply(dh, do_dh[ti], out=da_g[3, ti])
+            np.multiply(fic_dc[:, ti], dc, out=da_g[:3, ti])
             if ti:
                 dc *= f[ti]
                 dh_carry = da[ti].reshape(b, 4 * h) @ w_hT
         da2 = da.reshape(t * b, 4 * h)
         self.dw[:h] += hs[:-1].reshape(-1, h).T @ da2[b:]
         self.dw[h:] += x2.T @ da2
-        self.db += da2.sum(axis=0)
+        self.db += _column_sums(da2)
         dx = da2 @ self.w[h:].T
         return dx.reshape(t, b, -1).transpose(1, 0, 2)
 

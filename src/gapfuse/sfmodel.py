@@ -111,8 +111,10 @@ class NormStats:
         sd = np.asarray(self.sd, dtype=np.float64)
         if mean.shape != (len(self.channels),) or sd.shape != mean.shape:
             raise ValueError("stats shapes must match the channel list")
-        if np.any(sd <= 0.0):
-            raise ValueError("degenerate channel: standard deviation must be > 0")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("channel means must be finite")
+        if not np.all(np.isfinite(sd) & (sd > 0.0)):
+            raise ValueError("degenerate channel: standard deviation must be finite and > 0")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "sd", sd)
         object.__setattr__(self, "channels", tuple(self.channels))

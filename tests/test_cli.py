@@ -135,6 +135,49 @@ class TestExitCodes:
         assert rc == 2
         assert "the architecture has" in capsys.readouterr().err
 
+    @staticmethod
+    def _doctored_model(ws, tmp_path, stats=None, nan_param=None):
+        """A copy of the workspace model with a stats entry replaced or one
+        parameter's first value set to NaN."""
+        magic, header, body = ws["model"].read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        for key, value in (stats or {}).items():
+            fields["stats"][key] = value
+        if nan_param is not None:
+            entry = next(e for e in fields["params"] if e["name"] == nan_param)
+            body = bytearray(body)
+            body[entry["offset"]:entry["offset"] + 4] = np.float32(np.nan).tobytes()
+        model = tmp_path / "doctored.gfm"
+        model.write_bytes(magic + b"\n" + json.dumps(fields).encode() + b"\n" + bytes(body))
+        return model
+
+    def test_model_with_nan_sd_exits_two(self, ws, tmp_path, capsys):
+        """A NaN standard deviation used to pass the `sd <= 0` check: the fill
+        then skipped every pixel and exited 0."""
+        n = len(fileio.load_model(ws["model"]).stats.channels)
+        model = self._doctored_model(ws, tmp_path, stats={"sd": [float("nan")] * n})
+        rc = main(["gapfill", "--in", str(ws["ds"]), "--out", str(tmp_path / "o"),
+                   "--method", "sf", "--model", str(model)])
+        assert rc == 2
+        assert "standard deviation must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_model_with_infinite_mean_exits_two(self, ws, tmp_path, capsys):
+        n = len(fileio.load_model(ws["model"]).stats.channels)
+        model = self._doctored_model(ws, tmp_path, stats={"mean": [float("inf")] + [0.0] * (n - 1)})
+        rc = main(["detect", "--in", str(ws["ds"]), "--out", str(tmp_path / "ev.csv"),
+                   "--fill", "sf", "--model", str(model)])
+        assert rc == 2
+        assert "channel means must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "ev.csv").exists()
+
+    def test_model_with_nan_parameter_exits_two_naming_it(self, ws, tmp_path, capsys):
+        model = self._doctored_model(ws, tmp_path, nan_param="enc.fwd.w")
+        rc = main(["gapfill", "--in", str(ws["ds"]), "--out", str(tmp_path / "o"),
+                   "--method", "sf", "--model", str(model)])
+        assert rc == 2
+        assert "parameter enc.fwd.w holds a non-finite value" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [("seed", None), ("learning_rate", [1])])
     def test_ill_typed_config_value_exits_two(self, tmp_path, capsys, key, value):
         config = tmp_path / "config.json"

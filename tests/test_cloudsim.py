@@ -206,3 +206,15 @@ class TestSynthDataset:
         assert set(result.pools) == {0, 1, 2}
         for pool in result.pools.values():
             assert 0.35 < pool.mean_coverage < 0.55
+
+
+def test_radar_noise_block_equals_separate_draws():
+    """The generator draws a parcel's four radar noise series as one
+    (4, p, T) block; that block is bit-identical to four (p, T) draws made
+    one after another from the same stream."""
+    from gapfuse.cloudsim import RADAR_NOISE_SD, _ar1
+
+    block = _ar1((4, 7, 29), RADAR_NOISE_SD[:, None, None], 0.5, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    separate = np.stack([_ar1((7, 29), float(sd), 0.5, rng) for sd in RADAR_NOISE_SD])
+    np.testing.assert_array_equal(block, separate)
