@@ -33,6 +33,9 @@ SAR_CHANNELS: tuple[str, ...] = (
 CHANNELS: tuple[str, ...] = (NDVI_CHANNEL,) + SAR_CHANNELS
 
 
+# float64 values of at least this magnitude round to an infinite float32
+FLOAT32_LIMIT = 2.0 ** 128 - 2.0 ** 103
+
 # the radar channels that must lie in [0, 1], as indices into SAR_CHANNELS
 _UNIT_RANGE_ROWS = [SAR_CHANNELS.index(c) for c in ("coh_vv", "coh_vh", "mixed_coherence")]
 
@@ -65,14 +68,23 @@ def _raise_first(checks: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:
 
 
 def _radar_checks(sar: np.ndarray) -> list:
-    """Rows of an (N, T, 8) radar block with a NaN, then rows with a
-    coherence channel outside [0, 1]; each names the first bad channel."""
-    nan = np.isnan(sar).any(axis=1)
+    """Rows of an (N, T, 8) radar block with a NaN or a value that is not
+    finite in float32 (the model's dtype), then rows with a coherence
+    channel outside [0, 1]; each names the first bad channel, a NaN first."""
+    # one pass: NaN fails both comparisons
+    bad = ~((sar < FLOAT32_LIMIT) & (sar > -FLOAT32_LIMIT)).all(axis=1)
     bounded = sar[:, :, _UNIT_RANGE_ROWS]
     outside = ((bounded < 0.0) | (bounded > 1.0)).any(axis=1)
     unit_range = [SAR_CHANNELS[c] for c in _UNIT_RANGE_ROWS]
+
+    def bad_message(i: int) -> str:
+        nan = np.isnan(sar[i]).any(axis=0)
+        if nan.any():
+            return f"channel {SAR_CHANNELS[int(np.argmax(nan))]} contains NaN"
+        return f"channel {SAR_CHANNELS[int(np.argmax(bad[i]))]} holds a value that is not finite in float32"
+
     return [
-        (nan.any(axis=1), lambda i: f"channel {SAR_CHANNELS[int(np.argmax(nan[i]))]} contains NaN"),
+        (bad.any(axis=1), bad_message),
         (outside.any(axis=1), lambda i: f"channel {unit_range[int(np.argmax(outside[i]))]} must lie in [0, 1]"),
     ]
 

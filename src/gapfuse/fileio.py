@@ -6,7 +6,8 @@ repr so values round-trip bit-exactly):
 * dataset.csv  pixel_id, parcel_id, region_id, step, doy, ndvi,
                sig_vv_db, sig_vh_db, coh_vv, coh_vh
                (ndvi empty = absent; derived radar features are computed on
-               load, never stored)
+               load, never stored, and a row whose derived features are not
+               finite in float32, the model's dtype, is refused)
 * labels.csv   parcel_id, event_doy (empty event_doy = labeled unmown)
 * masks.csv    mask_id, region_id, bit_0..bit_{T-1}
 * events.csv   parcel_id, event_doy, score (empty pair = no events found)
@@ -48,7 +49,7 @@ import numpy as np
 from .cloudsim import MaskPool, SynthConfig
 from .core import SAR_CHANNELS, CloudMask, Dataset, ParcelLabel, TemporalGrid
 from .detect import Event, EventSet, Mda1Params, Mda2Params
-from .features import derive_channels
+from .features import derive_channels, float32_unfit
 from .preprocess import DensityCriteria, OutlierParams
 from .sfmodel import NormStats, SfArchitecture, SfModel, SfNet, TrainConfig
 
@@ -430,6 +431,12 @@ def read_dataset(path) -> Dataset:
     checks += [(invalid[c], c, None) for c in _RAW_TO_CHANNEL]
     checks += [((cols[c] < 0.0) | (cols[c] > 1.0), c, lambda i, c=c: f"coherence {cols[c][i]} outside [0, 1]")
                for c in ("coh_vv", "coh_vh")]
+    # a derived radar channel the model's float32 cannot hold, blamed on the
+    # backscatter value further from 0 dB
+    vv, vh = cols["sig_vv_db"], cols["sig_vh_db"]
+    unfit, vv_blamed = float32_unfit(vv, vh), np.abs(vv) >= np.abs(vh)
+    checks += [(unfit & blamed, c, lambda i: f"radar channels derived from sig_vv_db {vv[i]} and sig_vh_db {vh[i]} "
+                "are not finite in float32") for c, blamed in (("sig_vv_db", vv_blamed), ("sig_vh_db", ~vv_blamed))]
     checks += [
         ((parcel != parcel[first_of_pixel][pixel]) | (region != region[first_of_pixel][pixel]), "parcel_id",
          lambda i: f"pixel {pid[i]} changes parcel/region mid-file"),

@@ -1,10 +1,14 @@
 """Minimal neural toolkit with exact analytic gradients.
 
-Layers operate on (batch, time, channel) arrays, store parameters at 32-bit
-by default, and accumulate reductions (losses, metrics) at 64-bit.  Every
-layer implements forward / backward / params, gradients ACCUMULATE into the
-layer's grad buffers (call zero_grads between steps), and the whole toolkit
-is deterministic given the construction rng.
+Layers operate on time-major (time, batch, channel) arrays, as cuDNN's
+recurrent layers do: a step is one contiguous (batch, channel) block and a
+shift along time one contiguous slab, so layers pass arrays on without
+transposing copies (`Dense` and the elementwise layers take any leading
+axes).  Layers store parameters at 32-bit by default and accumulate
+reductions (losses, metrics) at 64-bit.  Every layer implements forward /
+backward / params, gradients ACCUMULATE into the layer's grad buffers (call
+zero_grads between steps), and the whole toolkit is deterministic given the
+construction rng.
 
 Conventions fixed here (the upstream description is silent on them):
 Glorot-uniform initialization for dense/conv weights, uniform +-1/sqrt(H)
@@ -117,7 +121,8 @@ class Dense(Layer):
 
 
 class Conv1D(Layer):
-    """Same-padded cross-correlation along time; kernel shape (K, C_in, C_out)."""
+    """Same-padded cross-correlation along time, axis 0 of a (T, B, C) input;
+    kernel shape (K, C_in, C_out)."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator,
                  name: str = "conv", dtype=DEFAULT_DTYPE):
@@ -133,16 +138,18 @@ class Conv1D(Layer):
         self._xshape: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """im2col without a padded copy: each tap's shifted slice of x goes
-        straight into its channel block of one zeroed (B, T, K*C) array."""
-        b, t, c = x.shape
+        """im2col without a padded copy: each tap's shifted slice of x, one
+        contiguous slab of steps, goes straight into its channel block of one
+        zeroed (T, B, K*C) array."""
+        t, b, c = x.shape
         k = self.kernel
-        cols = np.zeros((b, t, k * c), dtype=x.dtype)
+        cols = np.zeros((t, b, k * c), dtype=x.dtype)
         for j, lo, hi, s in _shifts(k, t):
-            cols[:, lo:hi, j * c:(j + 1) * c] = x[:, lo + s:hi + s]
+            cols[lo:hi, :, j * c:(j + 1) * c] = x[lo + s:hi + s]
         self._cols = cols
         self._xshape = x.shape
-        y = cols @ self.w.reshape(k * c, -1)
+        # one BLAS call over all T*B rows; a 3-D matmul makes one per step
+        y = (cols.reshape(t * b, k * c) @ self.w.reshape(k * c, -1)).reshape(t, b, -1)
         y += self.b
         return y
 
@@ -150,16 +157,16 @@ class Conv1D(Layer):
         """Each tap's block of dcols is added, tap by tap, straight into a
         contiguous dx: the same sums, in the same order, as through a
         padded buffer."""
-        b, t, c = self._xshape
+        t, b, c = self._xshape
         k = self.kernel
         w2 = self.w.reshape(k * c, -1)
         dy2 = dy.reshape(-1, dy.shape[-1])
         self.dw += (self._cols.reshape(-1, k * c).T @ dy2).reshape(self.w.shape)
         self.db += _column_sums(dy2)
-        dcols = (dy2 @ w2.T).reshape(b, t, k * c)
-        dx = np.zeros((b, t, c), dtype=dcols.dtype)
+        dcols = (dy2 @ w2.T).reshape(t, b, k * c)
+        dx = np.zeros((t, b, c), dtype=dcols.dtype)
         for j, lo, hi, s in _shifts(k, t):
-            dx[:, lo + s:hi + s] += dcols[:, lo:hi, j * c:(j + 1) * c]
+            dx[lo + s:hi + s] += dcols[lo:hi, :, j * c:(j + 1) * c]
         return dx
 
     def params(self):
@@ -174,8 +181,9 @@ class Conv1D(Layer):
 
 
 class MaxPool1D(Layer):
-    """Centered sliding-window max with stride 1; windows truncate at the
-    series boundaries so the length is preserved."""
+    """Centered sliding-window max with stride 1 along time, axis 0 of a
+    (T, B, C) input; windows truncate at the series boundaries so the length
+    is preserved."""
 
     def __init__(self, pool: int = 3, name: str = "pool"):
         if pool < 1:
@@ -186,37 +194,37 @@ class MaxPool1D(Layer):
         self._xshape: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        b, t, c = x.shape
+        t, b, c = x.shape
         p = self.pool
         self._xshape = x.shape
         if p == 1:
             self._argmax = None
             return x
         pad = (p - 1) // 2
-        xp = np.full((b, t + p - 1, c), -np.inf, dtype=x.dtype)
-        xp[:, pad:pad + t] = x
+        xp = np.full((t + p - 1, b, c), -np.inf, dtype=x.dtype)
+        xp[pad:pad + t] = x
         # running max over the p shifted views; a later offset takes over only
         # when strictly larger, so ties keep the first maximal offset (as
         # argmax does).  Offsets only grow, so the update is a max, not a where.
-        out = xp[:, :t].copy()
-        arg = np.zeros((b, t, c), dtype=np.int8)
+        out = xp[:t].copy()
+        arg = np.zeros((t, b, c), dtype=np.int8)
         for j in range(1, p):
-            view = xp[:, j:j + t]
+            view = xp[j:j + t]
             np.maximum(arg, (view > out) * np.int8(j), out=arg)
             np.maximum(out, view, out=out)
         self._argmax = arg
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        b, t, c = self._xshape
+        t, b, c = self._xshape
         p = self.pool
         if p == 1:
             return dy
         # each offset's share goes straight into a contiguous dx, skipping
         # the steps whose window reaches past the series
-        dx = np.zeros((b, t, c), dtype=dy.dtype)
+        dx = np.zeros((t, b, c), dtype=dy.dtype)
         for j, lo, hi, s in _shifts(p, t):
-            dx[:, lo + s:hi + s] += dy[:, lo:hi] * (self._argmax[:, lo:hi] == j)
+            dx[lo + s:hi + s] += dy[lo:hi] * (self._argmax[lo:hi] == j)
         return dx
 
 
@@ -265,19 +273,20 @@ class Clamp(Layer):
 
 
 class LstmCell(Layer):
-    """Fused-parameter LSTM over [h_{t-1}, x_t].
+    """Fused-parameter LSTM over [h_{t-1}, x_t], mapping (T, B, C) to (T, B, H).
 
     One weight matrix of shape (H + C, 4H) and one bias of length 4H hold
-    the four gate blocks in the order forget, input, candidate, output;
-    the per-gate views are exposed as W_f/W_i/W_C/W_o and b_f/b_i/b_C/b_o.
-    The forget-gate bias starts at 1.0.
+    the four gate blocks in the order forget, input, candidate, output.
+    The forget-gate bias starts at 1.0.  A `reverse` cell runs its
+    recurrence from the last step to the first over the same arrays.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator,
-                 name: str = "lstm", dtype=DEFAULT_DTYPE):
+                 name: str = "lstm", dtype=DEFAULT_DTYPE, reverse: bool = False):
         self.name = name
         self.input_size = input_size
         self.hidden_size = hidden_size
+        self.reverse = reverse
         h = hidden_size
         scale = 1.0 / np.sqrt(h)
         self.w = rng.uniform(-scale, scale, size=(h + input_size, 4 * h)).astype(dtype)
@@ -287,42 +296,17 @@ class LstmCell(Layer):
         self.db = np.zeros_like(self.b)
         self._cache: dict | None = None
 
-    # gate views over the fused parameters (order f, i, C, o)
-    @property
-    def W_f(self):
-        return self.w[:, : self.hidden_size]
-
-    @property
-    def W_i(self):
-        return self.w[:, self.hidden_size: 2 * self.hidden_size]
-
-    @property
-    def W_C(self):
-        return self.w[:, 2 * self.hidden_size: 3 * self.hidden_size]
-
-    @property
-    def W_o(self):
-        return self.w[:, 3 * self.hidden_size:]
-
-    @property
-    def b_f(self):
-        return self.b[: self.hidden_size]
-
-    @property
-    def b_i(self):
-        return self.b[self.hidden_size: 2 * self.hidden_size]
-
-    @property
-    def b_C(self):
-        return self.b[2 * self.hidden_size: 3 * self.hidden_size]
-
-    @property
-    def b_o(self):
-        return self.b[3 * self.hidden_size:]
+    def _order(self, t: int) -> tuple[range, slice, slice]:
+        """The steps in the order the recurrence visits them, then the steps
+        that have a predecessor and, aligned with them, their predecessors."""
+        if self.reverse:
+            return range(t - 1, -1, -1), slice(None, -1), slice(1, None)
+        return range(t), slice(1, None), slice(None, -1)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """x (B, T, C) -> h (B, T, H).  The input projection x_t @ W_x + b is
-        one matmul over all steps; only h_{t-1} @ W_h stays in the loop.
+        """x (T, B, C) -> h (T, B, H).  The input projection x_t @ W_x + b is
+        one matmul over all steps of x, read in place; only h_prev @ W_h
+        stays in the loop.
 
         The gates are laid out gate-major, (4, T, B, H), so every
         elementwise pass of a step runs over contiguous (B, H) blocks.  All
@@ -330,14 +314,14 @@ class LstmCell(Layer):
         offset, with s = offset = 1/2 on the sigmoid gates f, i, o (sigmoid(a)
         = 0.5 * (1 + tanh(a / 2))) and s = 1, offset = 0 on the candidate.
         The inner scaling is folded into W_h and the projection."""
-        b, t, c = x.shape
+        t, b, c = x.shape
         h = self.hidden_size
         scale = np.array([0.5, 0.5, 1.0, 0.5], dtype=self.w.dtype)[:, None, None]
         offset = np.array([0.5, 0.5, 0.0, 0.5], dtype=self.w.dtype)[:, None, None]
         # scaling by 1/2 is exact, so it can go into the weights and bias
         w = (self.w.reshape(-1, 4, h) * scale[:, 0]).reshape(-1, 4 * h)
         w_h = w[:h]
-        x2 = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t * b, c)
+        x2 = x.reshape(t * b, c)
         # pre-activations in the row-major layout of the fused weights; each
         # step's tanh writes them gate-major into acts
         pre = (x2 @ w[h:]).reshape(t, b, 4 * h)
@@ -347,25 +331,30 @@ class LstmCell(Layer):
         cs = np.empty((t, b, h), dtype=acts.dtype)
         tcs = np.empty_like(cs)
         hs = np.empty_like(cs)
-        for ti in range(t):
+        last = None  # the step visited before ti
+        for ti in self._order(t)[0]:
             a = acts[:, ti]
-            if ti:
-                pre[ti] += hs[ti - 1] @ w_h
+            if last is not None:
+                pre[ti] += hs[last] @ w_h
             np.tanh(pre[ti].reshape(b, 4, h).transpose(1, 0, 2), out=a)
             a *= scale
             a += offset
             np.multiply(i[ti], g[ti], out=cs[ti])
-            if ti:
-                cs[ti] += f[ti] * cs[ti - 1]
+            if last is not None:
+                cs[ti] += f[ti] * cs[last]
             np.tanh(cs[ti], out=tcs[ti])
             np.multiply(o[ti], tcs[ti], out=hs[ti])
+            last = ti
         self._cache = {"x2": x2, "acts": acts, "cs": cs, "tcs": tcs, "hs": hs}
-        return hs.transpose(1, 0, 2)
+        return hs
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        """dy (T, B, H) -> dx (T, B, C), walking the steps in the reverse of
+        the forward's order."""
         cache = self._cache
         x2, acts, cs, tcs, hs = cache["x2"], cache["acts"], cache["cs"], cache["tcs"], cache["hs"]
         _, t, b, h = acts.shape
+        steps, cur, prev = self._order(t)
         f, i, g, o = acts
         # step-independent factors of the gate gradients, for all steps at once
         # and gate-major: dc_t = dc_carry + dh_t * dc_dh, da_o = dh_t * do_dh,
@@ -373,8 +362,8 @@ class LstmCell(Layer):
         dc_dh = o * (1.0 - tcs * tcs)
         do_dh = tcs * o * (1.0 - o)
         fic_dc = np.empty((3, t, b, h), dtype=acts.dtype)
-        fic_dc[0, 0] = 0.0  # c_{-1} = 0
-        fic_dc[0, 1:] = cs[:-1] * f[1:] * (1.0 - f[1:])
+        fic_dc[0, steps[0]] = 0.0  # the first step's c_prev is 0
+        fic_dc[0, cur] = cs[prev] * f[cur] * (1.0 - f[cur])
         fic_dc[1] = g * i * (1.0 - i)
         fic_dc[2] = i * (1.0 - g * g)
         # the pre-activation gradients land in the row-major (T, B, 4H)
@@ -382,23 +371,21 @@ class LstmCell(Layer):
         da = np.empty((t, b, 4, h), dtype=acts.dtype)
         da_g = da.transpose(2, 0, 1, 3)
         w_hT = self.w[:h].T
-        dyt = dy.transpose(1, 0, 2)
         dh_carry = np.zeros((b, h), dtype=da.dtype)
         dc = np.zeros((b, h), dtype=da.dtype)
-        for ti in range(t - 1, -1, -1):
-            dh = dyt[ti] + dh_carry
+        for ti in reversed(steps):
+            dh = dy[ti] + dh_carry
             dc += dh * dc_dh[ti]
             np.multiply(dh, do_dh[ti], out=da_g[3, ti])
             np.multiply(fic_dc[:, ti], dc, out=da_g[:3, ti])
-            if ti:
+            if ti != steps[0]:
                 dc *= f[ti]
                 dh_carry = da[ti].reshape(b, 4 * h) @ w_hT
         da2 = da.reshape(t * b, 4 * h)
-        self.dw[:h] += hs[:-1].reshape(-1, h).T @ da2[b:]
+        self.dw[:h] += hs[prev].reshape(-1, h).T @ da[cur].reshape(-1, 4 * h)
         self.dw[h:] += x2.T @ da2
         self.db += _column_sums(da2)
-        dx = da2 @ self.w[h:].T
-        return dx.reshape(t, b, -1).transpose(1, 0, 2)
+        return (da2 @ self.w[h:].T).reshape(t, b, -1)
 
     def params(self):
         return [(f"{self.name}.w", self.w, self.dw), (f"{self.name}.b", self.b, self.db)]
@@ -412,24 +399,23 @@ class LstmCell(Layer):
 
 
 class BiLstm(Layer):
-    """Forward and backward LSTM passes concatenated along channels."""
+    """A forward and a reverse LSTM over one (T, B, C) input, their outputs
+    joined along channels into (T, B, 2H)."""
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator,
                  name: str = "bilstm", dtype=DEFAULT_DTYPE):
         self.name = name
         self.fwd = LstmCell(input_size, hidden_size, rng, name=f"{name}.fwd", dtype=dtype)
-        self.bwd = LstmCell(input_size, hidden_size, rng, name=f"{name}.bwd", dtype=dtype)
+        self.bwd = LstmCell(input_size, hidden_size, rng, name=f"{name}.bwd", dtype=dtype, reverse=True)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        hf = self.fwd.forward(x)
-        hb = self.bwd.forward(x[:, ::-1])[:, ::-1]
-        return np.concatenate([hf, hb], axis=2)
+        return np.concatenate([self.fwd.forward(x), self.bwd.forward(x)], axis=2)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         h = self.fwd.hidden_size
-        dxf = self.fwd.backward(dy[:, :, :h])
-        dxb = self.bwd.backward(dy[:, ::-1, h:])[:, ::-1]
-        return dxf + dxb
+        dx = self.fwd.backward(dy[:, :, :h])
+        dx += self.bwd.backward(dy[:, :, h:])
+        return dx
 
     def params(self):
         return self.fwd.params() + self.bwd.params()
@@ -465,46 +451,6 @@ class Sequential(Layer):
         for layer in self.layers:
             layer.astype(dtype)
         return self
-
-
-def _as_btc(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """Lift a (T,), (T,C) or (B,T,C) array to (B,T,C); returns original rank."""
-    x = np.asarray(x, dtype=np.float64)
-    rank = x.ndim
-    if rank == 1:
-        return x[None, :, None], rank
-    if rank == 2:
-        return x[None, :, :], rank
-    if rank == 3:
-        return x, rank
-    raise ValueError("expected a 1-D, 2-D or 3-D array")
-
-
-def _from_btc(y: np.ndarray, rank: int) -> np.ndarray:
-    if rank == 1:
-        return y[0, :, 0]
-    if rank == 2:
-        return y[0]
-    return y
-
-
-def conv1d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Functional same-padded 1-D convolution; kernels (K, C_in, C_out)."""
-    kernels = np.asarray(kernels, dtype=np.float64)
-    x3, rank = _as_btc(x)
-    k, c_in, c_out = kernels.shape
-    layer = Conv1D(c_in, c_out, k, np.random.default_rng(0), dtype=np.float64)
-    layer.w = kernels
-    layer.b = np.asarray(bias, dtype=np.float64)
-    return _from_btc(layer.forward(x3), rank)
-
-
-def maxpool1d(x: np.ndarray, pool_size: int = 3, stride: int = 1) -> np.ndarray:
-    """Functional sliding-window max; only the stride-1 form is supported."""
-    if stride != 1:
-        raise ValueError("only stride 1 is supported")
-    x3, rank = _as_btc(x)
-    return _from_btc(MaxPool1D(pool_size).forward(x3), rank)
 
 
 def weighted_mse(pred: np.ndarray, target: np.ndarray, weights: np.ndarray) -> float:

@@ -153,8 +153,12 @@ class SfNet(Layer):
     """The fusion network as one differentiable fragment.
 
     forward consumes (B, T, n_channels) tensors plus per-step NDVI presence
-    flags (B, T); the flags enter through `self.flags` so the fragment
-    keeps the single-argument Layer interface the gradient checker expects.
+    flags (B, T) and returns (B, T) outputs; the flags enter through
+    `self.flags` so the fragment keeps the single-argument Layer interface
+    the gradient checker expects.  Inside, every layer runs time-major: the
+    input is transposed once, to (n_channels, T, B), the branches write
+    straight into one (T, B, n_channels * d2) encoder input, and the head's
+    (T, B) output is transposed back once.
     """
 
     def __init__(self, arch: SfArchitecture, rng: np.random.Generator, dtype=np.float32):
@@ -192,39 +196,42 @@ class SfNet(Layer):
         arch = self.arch
         if arch.has_ndvi and self.flags is None:
             raise ValueError("NDVI presence flags are required")
-        outs = []
+        b, t, n = x.shape
+        d2 = arch.branch_dense[1]
+        xc = np.ascontiguousarray(x.transpose(2, 1, 0))
+        z = np.empty((t, b, n * d2), dtype=np.result_type(x, self.head.w))
         self._flags_used = None
         for i, ch in enumerate(arch.channels):
             if ch == NDVI_CHANNEL:
-                fl = np.asarray(self.flags, dtype=x.dtype)
+                fl = np.ascontiguousarray(np.asarray(self.flags, dtype=x.dtype).T)
                 self._flags_used = fl
-                masked = x[:, :, i] * fl
-                branch_in = np.stack([masked, fl], axis=2)
+                branch_in = np.stack([xc[i] * fl, fl], axis=2)
             else:
-                branch_in = x[:, :, i:i + 1]
-            outs.append(self.branches[i].forward(branch_in))
-        z = np.concatenate(outs, axis=2)
+                branch_in = xc[i][:, :, None]
+            z[:, :, i * d2:(i + 1) * d2] = self.branches[i].forward(branch_in)
         z = self.encoder.forward(z)
         z = self.decoder.forward(z)
-        y = self.head.forward(z)[:, :, 0]
+        y = np.ascontiguousarray(self.head.forward(z)[:, :, 0].T)
         return self.out_act.forward(y)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        """(B, T) gradient -> (B, T, n_channels) view of the input gradient."""
         arch = self.arch
         dz = self.out_act.backward(dy)
-        dz = self.head.backward(dz[:, :, None])
+        dz = self.head.backward(dz.T[:, :, None])
         dz = self.decoder.backward(dz)
         dz = self.encoder.backward(dz)
-        d2 = self.arch.branch_dense[1]
-        b, t = dy.shape[:2]
-        dx = np.zeros((b, t, len(arch.channels)), dtype=dy.dtype)
+        t, b, _ = dz.shape
+        n = len(arch.channels)
+        d2 = arch.branch_dense[1]
+        # one copy gives every branch a contiguous (T, B, d2) block
+        dz = np.ascontiguousarray(dz.reshape(t, b, n, d2).transpose(2, 0, 1, 3))
+        dx = np.empty((n, t, b), dtype=dy.dtype)
         for i, ch in enumerate(arch.channels):
-            dbr = self.branches[i].backward(dz[:, :, i * d2:(i + 1) * d2])
+            dx[i] = self.branches[i].backward(dz[i])[:, :, 0]
             if ch == NDVI_CHANNEL:
-                dx[:, :, i] = dbr[:, :, 0] * self._flags_used
-            else:
-                dx[:, :, i] = dbr[:, :, 0]
-        return dx
+                dx[i] *= self._flags_used
+        return dx.transpose(2, 1, 0)
 
     def params(self):
         out = []

@@ -178,6 +178,39 @@ class TestExitCodes:
         assert rc == 2
         assert "parameter enc.fwd.w holds a non-finite value" in capsys.readouterr().err
 
+    @staticmethod
+    def _scene_with_radar_cell(ws, tmp_path, value):
+        """A copy of the workspace scene whose row 6 holds `value` in sig_vv_db."""
+        ds = tmp_path / "scene"
+        ds.mkdir()
+        for f in ws["ds"].iterdir():
+            (ds / f.name).write_bytes(f.read_bytes())
+        lines = (ds / "dataset.csv").read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[fileio.DATASET_HEADER.index("sig_vv_db")] = value
+        lines[5] = ",".join(cells)
+        (ds / "dataset.csv").write_text("\n".join(lines) + "\n")
+        return ds
+
+    @pytest.mark.parametrize("command", ["gapfill", "train"])
+    def test_radar_value_beyond_float32_exits_two(self, ws, tmp_path, capsys, command):
+        """400 dB is finite in float64, but the VV/VH ratio it gives (about
+        1e41) is not in the model's float32: the sf fill used to leave the
+        pixel unfilled and exit 0, and training used to exit 0 with the cell
+        dominating the z-score statistics."""
+        ds = self._scene_with_radar_cell(ws, tmp_path, "400")
+        out = tmp_path / "out"
+        argv = {"gapfill": ["gapfill", "--in", str(ds), "--out", str(out), "--method", "sf",
+                            "--model", str(ws["model"])],
+                "train": ["train", "--in", str(ds), "--masks", str(ds / "masks.csv"), "--out", str(out),
+                          "--epochs", "1", "--seed", "1"]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "row 6, column 'sig_vv_db'" in err
+        assert "radar channels derived from sig_vv_db 400.0 and sig_vh_db" in err
+        assert "not finite in float32" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [("seed", None), ("learning_rate", [1])])
     def test_ill_typed_config_value_exits_two(self, tmp_path, capsys, key, value):
         config = tmp_path / "config.json"

@@ -128,6 +128,12 @@ class TestColumnarDataset:
         ([("sar", (1, 0, 7), np.nan), ("ndvi", (3, 1), -1.5)], "channel rvi contains NaN"),
         ([("sar", (1, 0, 7), np.nan), ("sar", (1, 2, 2), np.nan)], "channel coh_vv contains NaN"),
         ([("sar", (1, 2, 6), 1.2), ("sar", (2, 0, 0), np.nan)], r"channel mixed_coherence must lie in \[0, 1\]"),
+        # finite in float64, not in the model's float32
+        ([("sar", (2, 1, 4), 1e40), ("sar", (3, 0, 2), 1.5)],
+         "channel sigma0_ratio holds a value that is not finite in float32"),
+        ([("sar", (1, 0, 2), 1.5), ("sar", (1, 2, 0), -np.inf)],
+         "channel sigma0_vv_db holds a value that is not finite in float32"),
+        ([("sar", (1, 0, 4), 1e40), ("sar", (1, 1, 7), np.nan)], "channel rvi contains NaN"),
         ([("pixel_ids", 3, 10)], "duplicate pixel_id 10"),
         # the per-pixel checks run before the dataset's, as when PixelSeries are made first
         ([("pixel_ids", 1, 0), ("ndvi", (3, 0), 2.0)], r"ndvi values must lie in \[-1, 1\]"),

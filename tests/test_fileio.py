@@ -149,7 +149,7 @@ def _two_pixel_dataset():
 
     grid = TemporalGrid(start_doy=100, step_days=6, length=2)
     return Dataset(grid=grid, pixels=(
-        PixelSeries(7, 3, 1, np.array([np.nan, -0.0]), sar([-12.5, 1e16], [-18.25, -1e-05], [0.1, 1e-05], [0.0, 1.0])),
+        PixelSeries(7, 3, 1, np.array([np.nan, -0.0]), sar([-12.5, -1e16], [-18.25, -1e-05], [0.1, 1e-05], [0.0, 1.0])),
         PixelSeries(2, 4, 0, np.array([0.1, 1e-05]), sar([-0.0, -7.0], [-20.0, 3.0], [0.5, 0.25], [1e-05, 0.1])),
     ), labels={3: ParcelLabel(3, (112, 106)), 4: ParcelLabel(4, ())})
 
@@ -162,7 +162,7 @@ def _write_rows(directory, rows):
 
 class TestDatasetFormat:
     def test_golden_bytes(self, tmp_path):
-        """The exact text of both files: empty NDVI, -0.0, 1e-05, 0.1 and 1e16
+        """The exact text of both files: empty NDVI, -0.0, 1e-05, 0.1 and -1e16
         written by repr, rows by (pixel_id, step), labels by (parcel, doy)."""
         write_dataset(_two_pixel_dataset(), tmp_path)
         assert (tmp_path / "dataset.csv").read_text() == (
@@ -170,11 +170,12 @@ class TestDatasetFormat:
             "2,4,0,0,100,0.1,-0.0,-20.0,0.5,1e-05\n"
             "2,4,0,1,106,1e-05,-7.0,3.0,0.25,0.1\n"
             "7,3,1,0,100,,-12.5,-18.25,0.1,0.0\n"
-            "7,3,1,1,106,-0.0,1e+16,-1e-05,1e-05,1.0\n"
+            "7,3,1,1,106,-0.0,-1e+16,-1e-05,1e-05,1.0\n"
         )
         assert (tmp_path / "labels.csv").read_text() == "parcel_id,event_doy\n3,106\n3,112\n4,\n"
-        with np.errstate(over="ignore"):  # 1e16 dB has no finite linear power
-            again = read_dataset(tmp_path)
+        # -1e16 dB is a linear power of 0; +1e16 dB would be refused, its
+        # VV/VH ratio being infinite
+        again = read_dataset(tmp_path)
         assert [px.pixel_id for px in again.pixels] == [2, 7]
         assert again.pixels[1].ndvi.tobytes() == np.array([np.nan, -0.0]).tobytes()
 

@@ -6,7 +6,12 @@ row-by-row reader that stops at the first bad cell, on small dataset files
 with a few cells or rows mutated: both must accept a file with bitwise equal
 arrays, or both must reject it with the same error, row and column.  The
 read chunk sizes are shrunk so that one file is split between chunks that
-numpy's C parser reads and chunks left to the csv path."""
+numpy's C parser reads and chunks left to the csv path.
+
+The reference declares one rule beyond the cells' own parse and range
+checks: a row whose derived radar channels (`derive_channels`) are not all
+finite in float32, the dtype the model reads them in, is refused and blamed
+on whichever of sig_vv_db and sig_vh_db lies further from 0 dB."""
 
 import contextlib
 import csv
@@ -92,6 +97,16 @@ def reference_read(path):
             for col, v in (("coh_vv", radar[2]), ("coh_vh", radar[3])):
                 if not 0.0 <= v <= 1.0:
                     raise FileFormatError(csv_path, f"coherence {v} outside [0, 1]", rownum, col)
+            with np.errstate(all="ignore"):
+                try:
+                    fits = all(np.isfinite(np.float32(v)) for v in derive_channels(*radar).values())
+                except ValueError:  # a linear power that underflows to 0
+                    fits = False
+            if not fits:
+                vv, vh = radar[:2]
+                raise FileFormatError(
+                    csv_path, f"radar channels derived from sig_vv_db {vv} and sig_vh_db {vh} are not finite in "
+                    "float32", rownum, "sig_vv_db" if abs(vv) >= abs(vh) else "sig_vh_db")
             if meta.setdefault(pid, (parcel, region)) != (parcel, region):
                 raise FileFormatError(
                     csv_path, f"pixel {pid} changes parcel/region mid-file", rownum, "parcel_id")
@@ -150,7 +165,8 @@ N_ROWS = len(VALID_LINES) - 1
 
 CELL_VALUES = ["abc", "", " ", "nan", "NaN", "inf", "-inf", "1e999", "1.5", "-1.5", "-0.5", "0.5", "-0.0",
                "1.0000000000000002", "-1e-300", "2", "0", "1", "-1", "1_0", "1__0", "0x10", "+3", "3.0", "1e5",
-               "1000000000000", "99999999999999999999", "٣", '"1,5"', '"0.5"', '""']
+               "1000000000000", "99999999999999999999", "٣", '"1,5"', '"0.5"', '""', "400", "-400", "-4000",
+               "1e39"]
 
 
 @st.composite
@@ -231,6 +247,10 @@ def _outcome(read, path):
 @example(edits=[("cell", 7, 7, "inf")], chunk=2)
 @example(edits=[("cell", 7, 8, "1.5")], chunk=1024)
 @example(edits=[("cell", 7, 9, "-1e-300")], chunk=5)
+@example(edits=[("cell", 7, 6, "400")], chunk=2)
+@example(edits=[("cell", 4, 7, "-400")], chunk=1024)
+@example(edits=[("cell", 8, 7, "-4000")], chunk=5)
+@example(edits=[("cell", 3, 6, "1e39")], chunk=1)
 @example(edits=[("cell", 9, 1, "7")], chunk=2)
 @example(edits=[("cell", 9, 2, "7")], chunk=1024)
 @example(edits=[("duplicate", 9, 2, None)], chunk=5)

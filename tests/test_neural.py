@@ -1,5 +1,7 @@
 """Neural toolkit: analytic gradients against finite differences, pinned
-numeric examples for the losses, pooling and the recurrent cell."""
+numeric examples for the losses, pooling and the recurrent cell.  The layers
+take time-major (T, B, C) arrays; examples written batch-major go through
+`swap`."""
 
 import numpy as np
 import pytest
@@ -15,9 +17,7 @@ from gapfuse.neural import (
     ReLU,
     Sequential,
     Sigmoid,
-    conv1d_forward,
     grad_check,
-    maxpool1d,
     sigmoid,
     weighted_bce,
     weighted_bce_grad,
@@ -30,8 +30,36 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def swap(a):
+    """(B, T, C) <-> (T, B, C)."""
+    return a.transpose(1, 0, 2)
+
+
 def batch(b=2, t=7, c=3, seed=1):
-    return rng(seed).standard_normal((b, t, c))
+    """A time-major (T, B, C) batch of b series."""
+    return np.ascontiguousarray(swap(rng(seed).standard_normal((b, t, c))))
+
+
+def series(x):
+    """A (T,) series as a (T, 1, 1) batch."""
+    return np.asarray(x, dtype=np.float64)[:, None, None]
+
+
+def maxpool(x, pool):
+    return MaxPool1D(pool).forward(series(x))[:, 0, 0]
+
+
+def conv(x, kernels, bias):
+    """Same-padded convolution of a (T,) series or a (B, T, C) batch with
+    (K, C_in, C_out) kernels, in float64."""
+    k, c_in, c_out = kernels.shape
+    layer = Conv1D(c_in, c_out, k, rng(0), dtype=np.float64)
+    layer.w = np.asarray(kernels, dtype=np.float64)
+    layer.b = np.asarray(bias, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        return layer.forward(series(x))[:, 0, 0]
+    return swap(layer.forward(np.ascontiguousarray(swap(x))))
 
 
 def logistic(a):
@@ -117,10 +145,10 @@ class TestGradientAccumulation:
         layer = Dense(3, 2, rng(1))
         x = batch()
         layer.forward(x)
-        layer.backward(np.ones((2, 7, 2)))
+        layer.backward(np.ones((7, 2, 2)))
         once = layer.dw.copy()
         layer.forward(x)
-        layer.backward(np.ones((2, 7, 2)))
+        layer.backward(np.ones((7, 2, 2)))
         assert np.allclose(layer.dw, 2 * once)
         layer.zero_grads()
         assert not layer.dw.any() and not layer.db.any()
@@ -128,24 +156,24 @@ class TestGradientAccumulation:
 
 class TestPooling:
     def test_truncated_window_example(self):
-        out = maxpool1d(np.array([1.0, 5.0, 1.0, 1.0]), pool_size=3)
+        out = maxpool(np.array([1.0, 5.0, 1.0, 1.0]), 3)
         assert np.array_equal(out, [5.0, 5.0, 5.0, 1.0])
 
     def test_length_preserved(self):
         x = rng(3).standard_normal(11)
-        assert maxpool1d(x, 3).shape == x.shape
+        assert maxpool(x, 3).shape == x.shape
 
     def test_pool_one_is_identity(self):
         x = rng(4).standard_normal(6)
-        assert np.array_equal(maxpool1d(x, 1), x)
+        assert np.array_equal(maxpool(x, 1), x)
 
-    def test_stride_restriction(self):
+    def test_pool_size_must_be_positive(self):
         with pytest.raises(ValueError):
-            maxpool1d(np.zeros(4), 3, stride=2)
+            MaxPool1D(0)
 
     def test_matches_bruteforce(self):
         x = rng(5).standard_normal(15)
-        got = maxpool1d(x, 5)
+        got = maxpool(x, 5)
         want = [x[max(0, i - 2): i + 3].max() for i in range(15)]
         assert np.allclose(got, want)
 
@@ -158,13 +186,13 @@ class TestPooling:
         small_ints = r.integers(0, 3, size=(3, 13, 4)).astype(np.float64)
         conv = Conv1D(2, 4, 3, rng(12), dtype=np.float64)
         conv.b[:] = [0.3, -0.2, 0.0, 1.5]
-        masked_branch = conv.forward(np.zeros((2, 13, 2)))
+        masked_branch = swap(conv.forward(np.zeros((13, 2, 2)))).copy()
         masked_branch[1, 6:] += r.standard_normal((7, 4))  # a constant run, then free values
         x = np.concatenate([small_ints, masked_branch])
         layer = MaxPool1D(pool)
-        y = layer.forward(x)
+        y = swap(layer.forward(np.ascontiguousarray(swap(x))))
         dy = r.standard_normal(y.shape)
-        dx = layer.backward(dy)
+        dx = swap(layer.backward(np.ascontiguousarray(swap(dy))))
 
         b, t, c = x.shape
         pad = (pool - 1) // 2
@@ -189,20 +217,20 @@ class TestConvolution:
     def test_same_length(self):
         x = rng(6).standard_normal((2, 9, 3))
         k = rng(7).standard_normal((3, 3, 4))
-        assert conv1d_forward(x, k, np.zeros(4)).shape == (2, 9, 4)
+        assert conv(x, k, np.zeros(4)).shape == (2, 9, 4)
 
     def test_identity_kernel(self):
         x = rng(8).standard_normal(7)
         k = np.zeros((3, 1, 1))
         k[1, 0, 0] = 1.0
-        assert np.allclose(conv1d_forward(x, k, np.zeros(1)), x)
+        assert np.allclose(conv(x, k, np.zeros(1)), x)
 
     def test_shift_kernel_zero_pads(self):
         """A kernel reading the right neighbor sees 0 past the boundary."""
         x = np.array([1.0, 2.0, 3.0])
         k = np.zeros((3, 1, 1))
         k[2, 0, 0] = 1.0
-        assert np.allclose(conv1d_forward(x, k, np.zeros(1)), [2.0, 3.0, 0.0])
+        assert np.allclose(conv(x, k, np.zeros(1)), [2.0, 3.0, 0.0])
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
@@ -244,13 +272,9 @@ def lstm_reference(w, b, x, dy):
 class TestLstmCell:
     def test_forget_bias_initialized_to_one(self):
         cell = LstmCell(2, 3, rng(1))
-        assert np.all(cell.b_f == 1.0)
-        assert not cell.b_i.any() and not cell.b_C.any() and not cell.b_o.any()
-
-    def test_gate_views_alias_fused_tensor(self):
-        cell = LstmCell(2, 3, rng(2))
-        cell.W_o[...] = 7.0
-        assert np.all(cell.w[:, 9:] == 7.0)
+        f, i, g, o = cell.b.reshape(4, 3)
+        assert np.all(f == 1.0)
+        assert not i.any() and not g.any() and not o.any()
 
     def test_zero_weight_recurrence(self):
         """With weights zeroed the gates reduce to their biases, which pins
@@ -259,10 +283,8 @@ class TestLstmCell:
         h_t = sigmoid(b_o) * tanh(c_t)."""
         cell = LstmCell(2, 3, rng(3), dtype=np.float64)
         cell.w[...] = 0.0
-        cell.b_i[...] = 0.3
-        cell.b_C[...] = 0.8
-        cell.b_o[...] = -0.5
-        h = cell.forward(rng(4).standard_normal((1, 4, 2)))[0]
+        cell.b.reshape(4, 3)[1:] = [[0.3], [0.8], [-0.5]]  # the i, C and o blocks
+        h = cell.forward(rng(4).standard_normal((4, 1, 2)))[:, 0]
         c, want = 0.0, []
         for _ in range(4):
             c = logistic(1.0) * c + logistic(0.3) * np.tanh(0.8)
@@ -275,21 +297,37 @@ class TestLstmCell:
         cell = LstmCell(3, 4, rng(8), dtype=np.float64)
         cell.b[:] = rng(9).standard_normal(16)
         x = batch(b=3, t=6, c=3, seed=10)
-        dy = rng(11).standard_normal((3, 6, 4))
+        dy = rng(11).standard_normal((6, 3, 4))
         y = cell.forward(x)
         cell.zero_grads()
         dx = cell.backward(dy)
-        want_y, want_dw, want_db, want_dx = lstm_reference(cell.w, cell.b, x, dy)
-        assert np.allclose(y, want_y)
+        want_y, want_dw, want_db, want_dx = lstm_reference(cell.w, cell.b, swap(x), swap(dy))
+        assert np.allclose(swap(y), want_y)
         assert np.allclose(cell.dw, want_dw)
         assert np.allclose(cell.db, want_db)
-        assert np.allclose(dx, want_dx)
+        assert np.allclose(swap(dx), want_dx)
+
+    def test_reverse_cell_matches_reference_run_backwards(self):
+        """A reverse cell over x is the plain per-step LSTM over x reversed
+        in time, its outputs and input gradient reversed back."""
+        cell = LstmCell(3, 4, rng(8), dtype=np.float64, reverse=True)
+        cell.b[:] = rng(9).standard_normal(16)
+        x = batch(b=3, t=6, c=3, seed=10)
+        dy = rng(11).standard_normal((6, 3, 4))
+        y = cell.forward(x)
+        cell.zero_grads()
+        dx = cell.backward(dy)
+        want_y, want_dw, want_db, want_dx = lstm_reference(cell.w, cell.b, swap(x[::-1]), swap(dy[::-1]))
+        assert np.allclose(swap(y[::-1]), want_y)
+        assert np.allclose(cell.dw, want_dw)
+        assert np.allclose(cell.db, want_db)
+        assert np.allclose(swap(dx[::-1]), want_dx)
 
     def test_forward_shapes(self):
         cell = LstmCell(3, 5, rng(4))
-        assert cell.forward(batch()).shape == (2, 7, 5)
+        assert cell.forward(batch()).shape == (7, 2, 5)
         bi = BiLstm(3, 5, rng(5))
-        assert bi.forward(batch()).shape == (2, 7, 10)
+        assert bi.forward(batch()).shape == (7, 2, 10)
 
     def test_bilstm_backward_direction(self):
         """The reverse pass must actually read the series back to front: the
@@ -298,7 +336,7 @@ class TestLstmCell:
         x = batch(b=1, t=6, c=1, seed=7)
         y0 = bi.forward(x)[0, 0].copy()
         x2 = x.copy()
-        x2[0, -1, 0] += 1.0
+        x2[-1, 0, 0] += 1.0
         y1 = bi.forward(x2)[0, 0]
         assert not np.allclose(y0, y1)
 

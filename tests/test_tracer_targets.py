@@ -81,9 +81,10 @@ def _expected_flops(kind, phase, layer, arg, out):
 def test_layer_flop_counts_follow_the_shapes():
     """The traced per-layer FLOPs read layer internals (`Conv1D.w` as (K,
     C_in, C_out), `Conv1D._xshape`, `Dense.w`, `LstmCell.w` as (H + C, 4H))
-    and take the arguments as batch-major (B, T, .).  Every Conv1D, Dense and
-    LstmCell span of a traced training run must carry the FLOPs that the
-    call's input and output shapes give."""
+    and use an argument's leading axes only through their product, so the
+    count is the same for the time-major (T, B, .) arguments the layers
+    take.  Every Conv1D, Dense and LstmCell span of a traced training run
+    must carry the FLOPs that the call's input and output shapes give."""
     synth = synth_dataset(SynthConfig(n_parcels=12, pixels_per_parcel=3, n_regions=2, seed=5))
     training = assemble_training_set(synth.dataset, dict(synth.pools), np.random.default_rng(7))
     arch = SfArchitecture(channels=("ndvi", "coh_vv", "sigma0_vv_db"), conv_filters=(2, 3), branch_dense=(4, 2),
