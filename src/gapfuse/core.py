@@ -34,7 +34,7 @@ CHANNELS: tuple[str, ...] = (NDVI_CHANNEL,) + SAR_CHANNELS
 
 
 # float64 values of at least this magnitude round to an infinite float32
-FLOAT32_LIMIT = 2.0 ** 128 - 2.0 ** 103
+_FLOAT32_LIMIT = 2.0 ** 128 - 2.0 ** 103
 
 # the radar channels that must lie in [0, 1], as indices into SAR_CHANNELS
 _UNIT_RANGE_ROWS = [SAR_CHANNELS.index(c) for c in ("coh_vv", "coh_vh", "mixed_coherence")]
@@ -67,12 +67,17 @@ def _raise_first(checks: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:
                 raise ValueError(message(i))
 
 
+def finite_in_float32(a: np.ndarray) -> np.ndarray:
+    """Where float64 values stay finite in float32, the model's dtype; one
+    pass, since NaN fails both comparisons."""
+    return (a < _FLOAT32_LIMIT) & (a > -_FLOAT32_LIMIT)
+
+
 def _radar_checks(sar: np.ndarray) -> list:
     """Rows of an (N, T, 8) radar block with a NaN or a value that is not
     finite in float32 (the model's dtype), then rows with a coherence
     channel outside [0, 1]; each names the first bad channel, a NaN first."""
-    # one pass: NaN fails both comparisons
-    bad = ~((sar < FLOAT32_LIMIT) & (sar > -FLOAT32_LIMIT)).all(axis=1)
+    bad = ~finite_in_float32(sar).all(axis=1)
     bounded = sar[:, :, _UNIT_RANGE_ROWS]
     outside = ((bounded < 0.0) | (bounded > 1.0)).any(axis=1)
     unit_range = [SAR_CHANNELS[c] for c in _UNIT_RANGE_ROWS]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FLOAT32_LIMIT, SAR_CHANNELS
+from .core import SAR_CHANNELS
 
 
 def to_db(sigma_lin):
@@ -75,18 +75,6 @@ def ndvi(nir, red):
     if np.any(denom == 0.0):
         raise ValueError("ndvi denominator nir+red must be positive")
     return (nir - red) / denom
-
-
-def float32_unfit(sig_vv_db, sig_vh_db) -> np.ndarray:
-    """Where a channel `derive_channels` derives from these backscatter
-    values is not finite in float32, the model's dtype; a linear power that
-    overflows, or underflows to 0, gives an infinite or NaN channel."""
-    vv = np.asarray(sig_vv_db, dtype=np.float64)
-    vh = np.asarray(sig_vh_db, dtype=np.float64)
-    with np.errstate(all="ignore"):
-        vv_lin, vh_lin = db_to_linear(vv), db_to_linear(vh)
-        derived = (vv, vh, vv_lin / vh_lin, vh - vv, 4.0 * vh_lin / (vh_lin + vv_lin))
-        return ~np.logical_and.reduce([np.abs(c) < FLOAT32_LIMIT for c in derived])
 
 
 def derive_channels(sig_vv_db, sig_vh_db, coh_vv, coh_vh) -> dict[str, np.ndarray]:

@@ -47,9 +47,9 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from .cloudsim import MaskPool, SynthConfig
-from .core import SAR_CHANNELS, CloudMask, Dataset, ParcelLabel, TemporalGrid
+from .core import SAR_CHANNELS, CloudMask, Dataset, ParcelLabel, TemporalGrid, finite_in_float32
 from .detect import Event, EventSet, Mda1Params, Mda2Params
-from .features import derive_channels, float32_unfit
+from .features import db_to_linear, derive_channels
 from .preprocess import DensityCriteria, OutlierParams
 from .sfmodel import NormStats, SfArchitecture, SfModel, SfNet, TrainConfig
 
@@ -394,6 +394,19 @@ def _read_dataset_columns(csv_path, fh):
     return columns, masks, last, stop
 
 
+def _float32_unfit(vv: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """Rows whose radar channels, as `derive_channels` derives them from
+    these backscatter values in dB, are not all finite in float32, the
+    model's dtype.  derive_channels refuses a non-finite value and a VH power
+    that underflows to 0; either gives a non-finite channel, so those rows
+    are unfit as they are and are derived from 0 dB instead."""
+    with np.errstate(all="ignore"):
+        refused = ~(np.isfinite(vv) & np.isfinite(vh)) | (db_to_linear(vh) == 0.0)
+        zero = np.zeros_like(vv)  # the coherences are checked on their own
+        sar = derive_channels(np.where(refused, 0.0, vv), np.where(refused, 0.0, vh), zero, zero)
+    return refused | ~np.logical_and.reduce([finite_in_float32(c) for c in sar.values()])
+
+
 def read_dataset(path) -> Dataset:
     """Read a dataset directory written by `write_dataset`.
 
@@ -434,7 +447,7 @@ def read_dataset(path) -> Dataset:
     # a derived radar channel the model's float32 cannot hold, blamed on the
     # backscatter value further from 0 dB
     vv, vh = cols["sig_vv_db"], cols["sig_vh_db"]
-    unfit, vv_blamed = float32_unfit(vv, vh), np.abs(vv) >= np.abs(vh)
+    unfit, vv_blamed = _float32_unfit(vv, vh), np.abs(vv) >= np.abs(vh)
     checks += [(unfit & blamed, c, lambda i: f"radar channels derived from sig_vv_db {vv[i]} and sig_vh_db {vh[i]} "
                 "are not finite in float32") for c, blamed in (("sig_vv_db", vv_blamed), ("sig_vh_db", ~vv_blamed))]
     checks += [

@@ -7,10 +7,12 @@ ones-vector matmul, and `Conv1D`, `MaxPool1D`, `LstmCell`, `BiLstm` and the
 `SfNet` glue as they were before every layer went time-major (a reverse LSTM
 pass then read a reversed view of its input).  They subclass the current
 layers, so parameters, init and `params()` are shared and only the arithmetic
-is compared, through one transpose at the boundary.  Forwards and the
-convolution and pooling input gradients must be bit-identical; weight
-gradients that now sum their rows in (time, batch) order, bias gradients and
-the LSTM gradients may differ by summation order.
+is compared, through one transpose at the boundary.  Forwards, input
+gradients and weight gradients must be bit-identical wherever both sides make
+the same sums in the same order; each exception below names the order that
+changed (a weight gradient that now sums its rows in (time, batch) order, a
+reverse LSTM cell, a bias gradient, or a matmul whose BLAS kernel depends on
+its size).
 """
 
 import copy
@@ -44,27 +46,27 @@ class RefConv1D(neural.Conv1D):
     def forward(self, x):
         b, t, c = x.shape
         k = self.kernel
-        cols = np.zeros((b, t, k * c), dtype=x.dtype)
-        for j, lo, hi, s in neural._shifts(k, t):
-            cols[:, lo:hi, j * c:(j + 1) * c] = x[:, lo + s:hi + s]
+        pad = (k - 1) // 2
+        xp = np.zeros((b, t + k - 1, c), dtype=x.dtype)
+        xp[:, pad:pad + t] = x
+        cols = np.concatenate([xp[:, j:j + t] for j in range(k)], axis=2)
         self._cols = cols
         self._xshape = x.shape
-        y = cols @ self.w.reshape(k * c, -1)
-        y += self.b
-        return y
+        return cols @ self.w.reshape(k * c, -1) + self.b
 
     def backward(self, dy):
         b, t, c = self._xshape
         k = self.kernel
+        pad = (k - 1) // 2
         w2 = self.w.reshape(k * c, -1)
         dy2 = dy.reshape(-1, dy.shape[-1])
         self.dw += (self._cols.reshape(-1, k * c).T @ dy2).reshape(self.w.shape)
         self.db += dy2.sum(axis=0)
-        dcols = (dy2 @ w2.T).reshape(b, t, k * c)
-        dx = np.zeros((b, t, c), dtype=dcols.dtype)
-        for j, lo, hi, s in neural._shifts(k, t):
-            dx[:, lo + s:hi + s] += dcols[:, lo:hi, j * c:(j + 1) * c]
-        return dx
+        dcols = dy @ w2.T
+        dxp = np.zeros((b, t + k - 1, c), dtype=dy.dtype)
+        for j in range(k):
+            dxp[:, j:j + t] += dcols[:, :, j * c:(j + 1) * c]
+        return dxp[:, pad:pad + t]
 
 
 class RefMaxPool1D(neural.MaxPool1D):
@@ -92,10 +94,11 @@ class RefMaxPool1D(neural.MaxPool1D):
         p = self.pool
         if p == 1:
             return dy
-        dx = np.zeros((b, t, c), dtype=dy.dtype)
-        for j, lo, hi, s in neural._shifts(p, t):
-            dx[:, lo + s:hi + s] += dy[:, lo:hi] * (self._argmax[:, lo:hi] == j)
-        return dx
+        pad = (p - 1) // 2
+        dxp = np.zeros((b, t + p - 1, c), dtype=dy.dtype)
+        for j in range(p):
+            dxp[:, j:j + t] += dy * (self._argmax == j)
+        return dxp[:, pad:pad + t]
 
 
 class RefLstmCell(neural.LstmCell):
@@ -277,18 +280,28 @@ def test_conv1d_matches_reference(b, t, c, c_out, k, dtype, seed):
     layer.b[:] = np.random.default_rng(seed + 1).standard_normal(c_out)
     x, dy = _data(seed, (b, t, c), (b, t, c_out), dtype)
     (y, dx, new), (y_ref, dx_ref, ref) = run_pair(layer, x, dy)
-    # the forward is one (T*B, K*C) matmul where the reference made one per
-    # series: on blocks this small BLAS picks its kernel by size (a vector
-    # kernel for a side of 1), and kernels sum in different orders
-    assert_close(y, y_ref, dtype)
-    if k * c > 1:
+    if b == 1 or (t > 1 and c_out > 1 and k * c < 20):
+        np.testing.assert_array_equal(y, y_ref)
+    else:
+        # the forward is one (T*B, K*C) matmul where the reference makes one
+        # per series, and BLAS picks its kernel by size: numpy hands a matrix
+        # with a side of 1 (the reference's (1, K*C) rows at T = 1, or a
+        # single output channel) to a vector kernel, and OpenBLAS's
+        # small-matrix kernels sum a long row (K*C >= 20) in an order that
+        # depends on the number of rows
+        assert_close(y, y_ref, dtype)
+    if t > 1 and k * c > 1:
         np.testing.assert_array_equal(dx, dx_ref)
     else:
-        # dcols is then a matrix-vector product, whose rows the vector kernel
-        # sums in an order that depends on their position
+        # numpy hands a matrix with a side of 1 (the reference's per-row
+        # (1, C_out) blocks at T = 1, or a single im2col column) to a vector
+        # kernel, which sums in another order than the matrix kernel
         assert_close(dx, dx_ref, dtype)
-    # the im2col rows now sum in (time, batch) order
-    assert_close(new.dw, ref.dw, dtype)
+    if b == 1:
+        np.testing.assert_array_equal(new.dw, ref.dw)
+    else:
+        # the im2col rows now sum in (time, batch) order
+        assert_close(new.dw, ref.dw, dtype)
     assert_close(new.db, ref.db, dtype)
     assert swap(dx).flags.c_contiguous
 
@@ -332,16 +345,12 @@ def test_dense_matches_reference(b, t, c, c_out, dtype, seed):
     assert_close(layer.db, ref.db, dtype)
 
 
-def _assert_lstm_pair(new, ref, h, dtype):
-    (y, dx, new_layer), (y_ref, dx_ref, ref_layer) = new, ref
-    if h > 1:
-        np.testing.assert_array_equal(y, y_ref)
+def assert_same(a, b, dtype, exact):
+    """Bit-identical if `exact`, else within GRAD_RTOL."""
+    if exact:
+        np.testing.assert_array_equal(a, b)
     else:
-        # at H = 1 BLAS may take a vector kernel for the gate matmuls
-        assert_close(y, y_ref, dtype)
-    assert_close(dx, dx_ref, dtype)
-    for (name, _, g), (_, _, g_ref) in zip(new_layer.params(), ref_layer.params()):
-        assert_close(g, g_ref, dtype)
+        assert_close(a, b, dtype)
 
 
 @settings(max_examples=60, deadline=None)
@@ -349,11 +358,17 @@ def _assert_lstm_pair(new, ref, h, dtype):
        reverse=st.booleans())
 def test_lstm_cell_matches_reference(b, t, c, h, dtype, seed, reverse):
     """A reverse cell over x equals the forward reference over x reversed in
-    time, reversed back."""
+    time, reversed back.  Run forward in time, a cell makes the reference's
+    sums in the same order; a reverse cell sums the rows of its steps in the
+    opposite order, and the reference sums bias rows with `sum(axis=0)`."""
     layer = neural.LstmCell(c, h, np.random.default_rng(seed), dtype=dtype, reverse=reverse)
     layer.b[:] = np.random.default_rng(seed + 1).uniform(-1, 1, 4 * h)
     x, dy = _data(seed, (b, t, c), (b, t, h), dtype)
-    _assert_lstm_pair(*run_pair(layer, x, dy, reverse), h, dtype)
+    (y, dx, new), (y_ref, dx_ref, ref) = run_pair(layer, x, dy, reverse)
+    np.testing.assert_array_equal(y, y_ref)
+    assert_same(dx, dx_ref, dtype, exact=not reverse)
+    assert_same(new.dw, ref.dw, dtype, exact=not reverse)
+    assert_close(new.db, ref.db, dtype)
 
 
 @settings(max_examples=40, deadline=None)
@@ -367,7 +382,13 @@ def test_bilstm_matches_reference(b, t, c, h, dtype, seed):
         cell.b[:] = np.random.default_rng(seed + 1).uniform(-1, 1, 4 * h)
     assert (layer.fwd.reverse, layer.bwd.reverse) == (False, True)
     x, dy = _data(seed, (b, t, c), (b, t, 2 * h), dtype)
-    _assert_lstm_pair(*run_pair(layer, x, dy), h, dtype)
+    (y, dx, new), (y_ref, dx_ref, ref) = run_pair(layer, x, dy)
+    np.testing.assert_array_equal(y, y_ref)
+    assert_close(dx, dx_ref, dtype)
+    np.testing.assert_array_equal(new.fwd.dw, ref.fwd.dw)
+    assert_close(new.bwd.dw, ref.bwd.dw, dtype)
+    for cell, cell_ref in ((new.fwd, ref.fwd), (new.bwd, ref.bwd)):
+        assert_close(cell.db, cell_ref.db, dtype)
 
 
 @pytest.mark.parametrize("head", ["regression", "detection"])
@@ -393,5 +414,14 @@ def test_sfnet_on_reference_layers_predicts_the_same(head):
     dx, dx_ref = net.backward(dy), ref.backward(dy)
     assert dx.shape == dx_ref.shape
     assert_close(dx, dx_ref, np.float32)
+    # the head's one-column product rounds a row in an order that depends on
+    # its position, which moved, so the outputs differ by rounding, and so
+    # does every gradient behind the detection head's sigmoid, which reads
+    # them.  Behind the regression head's clamp the forward-direction cells
+    # get bit-identical inputs and gradients and sum their rows in the
+    # reference's (time, batch) order; every other weight gradient sums them
+    # in another order.
+    exact = [name for name, _, _ in net.params() if head == "regression" and name.endswith(".fwd.w")]
+    assert len(exact) == (2 if head == "regression" else 0)
     for (name, _, g), (_, _, g_ref) in zip(net.params(), ref.params()):
-        assert_close(g, g_ref, np.float32)
+        assert_same(g, g_ref, np.float32, exact=name in exact)

@@ -272,9 +272,13 @@ def lstm_reference(w, b, x, dy):
 class TestLstmCell:
     def test_forget_bias_initialized_to_one(self):
         cell = LstmCell(2, 3, rng(1))
-        f, i, g, o = cell.b.reshape(4, 3)
-        assert np.all(f == 1.0)
-        assert not i.any() and not g.any() and not o.any()
+        assert np.all(cell.b_f == 1.0)
+        assert not cell.b_i.any() and not cell.b_C.any() and not cell.b_o.any()
+
+    def test_gate_views_alias_fused_tensor(self):
+        cell = LstmCell(2, 3, rng(2))
+        cell.W_o[...] = 7.0
+        assert np.all(cell.w[:, 9:] == 7.0)
 
     def test_zero_weight_recurrence(self):
         """With weights zeroed the gates reduce to their biases, which pins
@@ -283,7 +287,9 @@ class TestLstmCell:
         h_t = sigmoid(b_o) * tanh(c_t)."""
         cell = LstmCell(2, 3, rng(3), dtype=np.float64)
         cell.w[...] = 0.0
-        cell.b.reshape(4, 3)[1:] = [[0.3], [0.8], [-0.5]]  # the i, C and o blocks
+        cell.b_i[...] = 0.3
+        cell.b_C[...] = 0.8
+        cell.b_o[...] = -0.5
         h = cell.forward(rng(4).standard_normal((4, 1, 2)))[:, 0]
         c, want = 0.0, []
         for _ in range(4):
