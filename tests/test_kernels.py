@@ -261,6 +261,14 @@ def assert_close(a, b, dtype):
     assert float(np.max(np.abs(a - b), initial=0.0)) <= GRAD_RTOL[dtype] * scale
 
 
+def assert_same(a, b, dtype, exact):
+    """Bit-identical if `exact`, else within GRAD_RTOL."""
+    if exact:
+        np.testing.assert_array_equal(a, b)
+    else:
+        assert_close(a, b, dtype)
+
+
 dtypes = st.sampled_from([np.float32, np.float64])
 batch = st.integers(1, 9)
 steps = st.integers(1, 12)
@@ -280,28 +288,18 @@ def test_conv1d_matches_reference(b, t, c, c_out, k, dtype, seed):
     layer.b[:] = np.random.default_rng(seed + 1).standard_normal(c_out)
     x, dy = _data(seed, (b, t, c), (b, t, c_out), dtype)
     (y, dx, new), (y_ref, dx_ref, ref) = run_pair(layer, x, dy)
-    if b == 1 or (t > 1 and c_out > 1 and k * c < 20):
-        np.testing.assert_array_equal(y, y_ref)
-    else:
-        # the forward is one (T*B, K*C) matmul where the reference makes one
-        # per series, and BLAS picks its kernel by size: numpy hands a matrix
-        # with a side of 1 (the reference's (1, K*C) rows at T = 1, or a
-        # single output channel) to a vector kernel, and OpenBLAS's
-        # small-matrix kernels sum a long row (K*C >= 20) in an order that
-        # depends on the number of rows
-        assert_close(y, y_ref, dtype)
-    if t > 1 and k * c > 1:
-        np.testing.assert_array_equal(dx, dx_ref)
-    else:
-        # numpy hands a matrix with a side of 1 (the reference's per-row
-        # (1, C_out) blocks at T = 1, or a single im2col column) to a vector
-        # kernel, which sums in another order than the matrix kernel
-        assert_close(dx, dx_ref, dtype)
-    if b == 1:
-        np.testing.assert_array_equal(new.dw, ref.dw)
-    else:
-        # the im2col rows now sum in (time, batch) order
-        assert_close(new.dw, ref.dw, dtype)
+    # the forward is one (T*B, K*C) matmul where the reference makes one per
+    # series, and BLAS picks its kernel by size: numpy hands a matrix with a
+    # side of 1 (the reference's (1, K*C) rows at T = 1, or a single output
+    # channel) to a vector kernel, and OpenBLAS's small-matrix kernels sum a
+    # long row (K*C >= 20) in an order that depends on the number of rows
+    assert_same(y, y_ref, dtype, exact=b == 1 or (t > 1 and c_out > 1 and k * c < 20))
+    # numpy hands a matrix with a side of 1 (the reference's per-row
+    # (1, C_out) blocks at T = 1, or a single im2col column) to a vector
+    # kernel, which sums in another order than the matrix kernel
+    assert_same(dx, dx_ref, dtype, exact=t > 1 and k * c > 1)
+    # the im2col rows now sum in (time, batch) order
+    assert_same(new.dw, ref.dw, dtype, exact=b == 1)
     assert_close(new.db, ref.db, dtype)
     assert swap(dx).flags.c_contiguous
 
@@ -343,14 +341,6 @@ def test_dense_matches_reference(b, t, c, c_out, dtype, seed):
     np.testing.assert_array_equal(dx, dx_ref)
     np.testing.assert_array_equal(layer.dw, ref.dw)
     assert_close(layer.db, ref.db, dtype)
-
-
-def assert_same(a, b, dtype, exact):
-    """Bit-identical if `exact`, else within GRAD_RTOL."""
-    if exact:
-        np.testing.assert_array_equal(a, b)
-    else:
-        assert_close(a, b, dtype)
 
 
 @settings(max_examples=60, deadline=None)
