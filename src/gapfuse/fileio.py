@@ -84,6 +84,25 @@ class FileFormatError(ValueError):
         self.column = column
 
 
+def _parse_json(text: str | bytes, source, bare_text: bool = False) -> Any:
+    """One JSON document from `text` (bytes are read as UTF-8).  Text that is
+    not JSON, bytes that are not UTF-8 and nesting too deep for the decoder
+    raise a FileFormatError naming `source`; with `bare_text`, text that is
+    not JSON is returned as it is."""
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        if bare_text:
+            return text
+        raise FileFormatError(source, f"not valid JSON: {e}") from None
+    except UnicodeDecodeError as e:
+        raise FileFormatError(source, f"not UTF-8 text: {e}") from None
+    except RecursionError:
+        raise FileFormatError(source, "JSON nested too deeply to read") from None
+
+
 @contextlib.contextmanager
 def _atomic_file(path, mode: str = "wb", **kwargs):
     """Open a sibling temp file for writing and rename it onto `path` once
@@ -631,10 +650,7 @@ def load_model(path) -> SfModel:
         magic = fh.readline()
         if magic != MODEL_MAGIC:
             raise FileFormatError(path, f"bad magic {magic!r}")
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise FileFormatError(path, f"unreadable header: {e}") from None
+        header = _parse_json(fh.readline(), path)
         body = fh.read()
     if not isinstance(header, dict):
         raise FileFormatError(path, "the header is not a JSON object")
@@ -842,10 +858,7 @@ def _env_overrides(env: Mapping[str, str]) -> dict[str, dict[str, Any]]:
         section, _, fieldname = rest.partition("_")
         if section not in _SECTIONS or not fieldname:
             raise ValueError(f"unrecognized override variable {key}")
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
+        value = _parse_json(raw, key, bare_text=True)
         out.setdefault(section, {})[fieldname] = value
     return out
 
@@ -854,11 +867,7 @@ def load_config(path=None, env: Mapping[str, str] | None = None) -> RunConfig:
     """Defaults, then the JSON config file, then environment overrides."""
     merged: dict[str, dict[str, Any]] = {}
     if path is not None:
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise FileFormatError(path, f"not valid JSON: {e}") from None
+        data = read_json(path)
         if not isinstance(data, dict):
             raise FileFormatError(path, "config must be a JSON object")
         unknown = set(data) - set(_SECTIONS)
@@ -901,8 +910,7 @@ def write_json(path, obj: Any) -> None:
 
 
 def read_json(path) -> Any:
-    with open(path) as fh:
-        return json.load(fh)
+    return _parse_json(Path(path).read_bytes(), path)
 
 
 def write_table_csv(path, header: Iterable[str], rows: Iterable[Iterable[Any]]) -> None:

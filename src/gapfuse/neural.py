@@ -10,6 +10,13 @@ backward / params, gradients ACCUMULATE into the layer's grad buffers (call
 zero_grads between steps), and the whole toolkit is deterministic given the
 construction rng.
 
+Independent work inside a network (per-channel branches, the two directions
+of a BiLSTM) goes through `run_independent`, which hands part of it to one
+worker thread when the process may use a second core; `one_blas_thread`
+pins numpy's OpenBLAS to one thread meanwhile, so the two threads do not
+contend with BLAS's own pool and every matmul rounds the same whatever
+thread count the environment sets.
+
 Conventions fixed here (the upstream description is silent on them):
 Glorot-uniform initialization for dense/conv weights, uniform +-1/sqrt(H)
 for recurrent weights, zero biases except the LSTM forget-gate bias of 1.0.
@@ -17,11 +24,108 @@ for recurrent weights, zero biases except the LSTM forget-gate bias of 1.0.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cache, partial
+from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+
+
+@cache
+def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) for the thread count of the OpenBLAS that numpy's wheel
+    bundles in `numpy.libs`, or None where there is none."""
+    import ctypes
+
+    for lib_path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(lib_path))  # the copy numpy has loaded
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS at one thread, then restore the
+    count it had; a no-op where that control is not found."""
+    control = _blas_threads()
+    before = control[0]() if control is not None else 1
+    if before != 1:
+        control[1](1)
+    try:
+        yield
+    finally:
+        if before != 1:
+            control[1](before)
+
+
+def _cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@cache
+def _worker(pid: int):
+    """The one pooled worker thread of process `pid` (a forked child makes
+    its own), or None when the process may use one core only or BLAS threads
+    cannot be pinned; the thread starts at the first submitted call."""
+    if _cores() < 2 or _blas_threads() is None:
+        return None
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="gapfuse-neural")
+
+
+# held while the worker serves a call, so a nested or concurrent call runs serially
+_WORKER_BUSY = threading.Lock()
+
+
+def run_independent(calls: list[Callable[[], Any]]) -> list[Any]:
+    """Run calls that share no state and return their results in order.
+    The calling thread takes calls from the front of one queue and, when
+    there is one, the worker thread from the back, until it is empty: each
+    thread runs the same calls from pass to pass unless one falls behind.
+    An exception is raised here only after both threads have finished.
+    Without the worker every call runs here, in order."""
+    results: list[Any] = [None] * len(calls)
+    queue = deque(enumerate(calls))
+
+    def run(take: Callable[[], tuple[int, Callable[[], Any]]]) -> None:
+        while True:
+            try:
+                k, call = take()
+            except IndexError:  # the queue is empty
+                return
+            results[k] = call()
+
+    worker = _worker(os.getpid()) if len(calls) > 1 else None
+    if worker is None or not _WORKER_BUSY.acquire(blocking=False):
+        run(queue.popleft)
+        return results
+    try:
+        share = worker.submit(run, queue.pop)
+        try:
+            run(queue.popleft)
+        finally:
+            error = share.exception()  # waits for the worker's share
+    finally:
+        _WORKER_BUSY.release()
+    if error is not None:
+        raise error
+    return results
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -443,12 +547,14 @@ class BiLstm(Layer):
         self.bwd = LstmCell(input_size, hidden_size, rng, name=f"{name}.bwd", dtype=dtype, reverse=True)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.fwd.forward(x), self.bwd.forward(x)], axis=2)
+        ys = run_independent([partial(self.fwd.forward, x), partial(self.bwd.forward, x)])
+        return np.concatenate(ys, axis=2)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         h = self.fwd.hidden_size
-        dx = self.fwd.backward(dy[:, :, :h])
-        dx += self.bwd.backward(dy[:, :, h:])
+        dx, dx_reverse = run_independent([partial(self.fwd.backward, dy[:, :, :h]),
+                                          partial(self.bwd.backward, dy[:, :, h:])])
+        dx += dx_reverse
         return dx
 
     def params(self):

@@ -12,6 +12,7 @@ cloud-filter rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +37,8 @@ from .neural import (
     ReLU,
     Sequential,
     Sigmoid,
+    one_blas_thread,
+    run_independent,
     weighted_mse,
     weighted_mse_grad,
 )
@@ -201,36 +204,45 @@ class SfNet(Layer):
         xc = np.ascontiguousarray(x.transpose(2, 1, 0))
         z = np.empty((t, b, n * d2), dtype=np.result_type(x, self.head.w))
         self._flags_used = None
-        for i, ch in enumerate(arch.channels):
-            if ch == NDVI_CHANNEL:
-                fl = np.ascontiguousarray(np.asarray(self.flags, dtype=x.dtype).T)
-                self._flags_used = fl
+        if arch.has_ndvi:
+            self._flags_used = np.ascontiguousarray(np.asarray(self.flags, dtype=x.dtype).T)
+
+        def branch(i):
+            if arch.channels[i] == NDVI_CHANNEL:
+                fl = self._flags_used
                 branch_in = np.stack([xc[i] * fl, fl], axis=2)
             else:
                 branch_in = xc[i][:, :, None]
             z[:, :, i * d2:(i + 1) * d2] = self.branches[i].forward(branch_in)
-        z = self.encoder.forward(z)
-        z = self.decoder.forward(z)
-        y = np.ascontiguousarray(self.head.forward(z)[:, :, 0].T)
+
+        with one_blas_thread():
+            run_independent([partial(branch, i) for i in range(n)])
+            z = self.encoder.forward(z)
+            z = self.decoder.forward(z)
+            y = np.ascontiguousarray(self.head.forward(z)[:, :, 0].T)
         return self.out_act.forward(y)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         """(B, T) gradient -> (B, T, n_channels) view of the input gradient."""
         arch = self.arch
-        dz = self.out_act.backward(dy)
-        dz = self.head.backward(dz.T[:, :, None])
-        dz = self.decoder.backward(dz)
-        dz = self.encoder.backward(dz)
-        t, b, _ = dz.shape
         n = len(arch.channels)
         d2 = arch.branch_dense[1]
-        # one copy gives every branch a contiguous (T, B, d2) block
-        dz = np.ascontiguousarray(dz.reshape(t, b, n, d2).transpose(2, 0, 1, 3))
-        dx = np.empty((n, t, b), dtype=dy.dtype)
-        for i, ch in enumerate(arch.channels):
-            dx[i] = self.branches[i].backward(dz[i])[:, :, 0]
-            if ch == NDVI_CHANNEL:
-                dx[i] *= self._flags_used
+        with one_blas_thread():
+            dz = self.out_act.backward(dy)
+            dz = self.head.backward(dz.T[:, :, None])
+            dz = self.decoder.backward(dz)
+            dz = self.encoder.backward(dz)
+            t, b, _ = dz.shape
+            # one copy gives every branch a contiguous (T, B, d2) block
+            dz = np.ascontiguousarray(dz.reshape(t, b, n, d2).transpose(2, 0, 1, 3))
+            dx = np.empty((n, t, b), dtype=dy.dtype)
+
+            def branch(i):
+                dx[i] = self.branches[i].backward(dz[i])[:, :, 0]
+                if arch.channels[i] == NDVI_CHANNEL:
+                    dx[i] *= self._flags_used
+
+            run_independent([partial(branch, i) for i in range(n)])
         return dx.transpose(2, 1, 0)
 
     def params(self):

@@ -2,6 +2,10 @@
 synthetic scene, and manifest-driven replay."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,8 @@ from gapfuse import (
 from gapfuse import fileio
 from gapfuse.cli import main
 from gapfuse.fileio import read_json
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +274,29 @@ class TestExitCodes:
         assert message in err
         assert err.count(f"train.{key}") == 1
 
+    @pytest.mark.parametrize("source", ["model_header", "config", "manifest", "env"])
+    def test_deeply_nested_json_exits_two_naming_the_source(self, ws, tmp_path, capsys, monkeypatch, source):
+        """JSON nested past the decoder's recursion limit is bad input in
+        every JSON reader, not a RecursionError."""
+        deep = "[" * 100_000 + "]" * 100_000
+        out = str(tmp_path / "o")
+        if source == "model_header":
+            magic, _, body = ws["model"].read_bytes().split(b"\n", 2)
+            named = tmp_path / "deep.gfm"
+            named.write_bytes(magic + b"\n" + deep.encode() + b"\n" + body)
+            argv = ["gapfill", "--in", str(ws["ds"]), "--out", out, "--method", "sf", "--model", str(named)]
+        elif source == "env":
+            named = "GAPFUSE_TRAIN_SEED"
+            monkeypatch.setenv(named, deep)
+            argv = ["synth", "--out", out]
+        else:
+            named = tmp_path / f"{source}.json"
+            named.write_text(deep)
+            argv = (["synth", "--out", out, "--config", str(named)] if source == "config" else
+                    ["experiment", "hidden", "--in", str(ws["ds"]), "--out", out, "--from-manifest", str(named)])
+        assert main(argv) == 2
+        assert f"gapfuse: error: {named}: JSON nested too deeply" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["--version"])
@@ -361,6 +390,20 @@ class TestTrain:
         rc = main(["train", "--in", str(ws["ds"]), "--masks", str(masks), "--out", str(tmp_path / "m.gfm")])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    def test_model_is_the_same_at_any_blas_thread_count(self, ws, tmp_path):
+        """OpenBLAS rounds a matmul differently at one and at two threads;
+        the network pins it to one, so the environment's thread count does
+        not reach the model file."""
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        models = []
+        for threads in ("1", "2"):
+            models.append(tmp_path / f"blas{threads}.gfm")
+            subprocess.run([sys.executable, "-m", "gapfuse", "train", "--in", str(ws["ds"]),
+                            "--masks", str(ws["ds"] / "masks.csv"), "--out", str(models[-1]),
+                            "--epochs", "2", "--seed", "1"],
+                           env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True)
+        assert models[0].read_bytes() == models[1].read_bytes()
 
     def test_detection_head(self, ws, tmp_path):
         out = tmp_path / "det.gfm"

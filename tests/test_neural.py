@@ -3,9 +3,16 @@ numeric examples for the losses, pooling and the recurrent cell.  The layers
 take time-major (T, B, C) arrays; examples written batch-major go through
 `swap`."""
 
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+
 import numpy as np
 import pytest
 
+from gapfuse import neural
 from gapfuse.neural import (
     AdamState,
     BiLstm,
@@ -24,6 +31,7 @@ from gapfuse.neural import (
     weighted_mse,
     weighted_mse_grad,
 )
+from gapfuse.sfmodel import SfArchitecture, SfNet
 
 
 def rng(seed=0):
@@ -345,6 +353,107 @@ class TestLstmCell:
         x2[-1, 0, 0] += 1.0
         y1 = bi.forward(x2)[0, 0]
         assert not np.allclose(y0, y1)
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """A worker thread for `run_independent` whatever the host's cores."""
+    pool = ThreadPoolExecutor(max_workers=1)
+    monkeypatch.setattr(neural, "_worker", lambda pid: pool)
+    yield pool
+    pool.shutdown()
+
+
+def sfnet_pass(head="regression"):
+    """Output, input gradient and parameter gradients of one pass of the
+    default nine-branch SfNet over 32 series."""
+    arch = SfArchitecture(head=head)
+    net = SfNet(arch, rng(8))
+    x = rng(9).standard_normal((32, 29, len(arch.channels))).astype(np.float32)
+    flags = rng(10).random((32, 29)) < 0.6
+    y = net.forward(x, flags)
+    dx = net.backward(rng(11).standard_normal(y.shape).astype(np.float32))
+    return [y, dx] + [g for _, _, g in net.params()]
+
+
+class TestRunIndependent:
+    def test_results_come_back_in_order(self, one_worker):
+        assert neural.run_independent([lambda k=k: k * k for k in range(7)]) == [k * k for k in range(7)]
+
+    @pytest.mark.parametrize("raiser", ["caller", "worker"])
+    def test_error_is_raised_after_both_shares_finish(self, one_worker, raiser):
+        """Each thread takes one of the two calls: the one on `raiser` fails
+        at once, the other finishes 0.2 s later."""
+        caller = threading.get_ident()
+        finished = threading.Event()
+
+        def call():
+            if (threading.get_ident() == caller) == (raiser == "caller"):
+                raise RuntimeError("branch failed")
+            time.sleep(0.2)
+            finished.set()
+
+        with pytest.raises(RuntimeError, match="branch failed"):
+            neural.run_independent([call, call])
+        assert finished.is_set()
+
+    def test_nested_call_runs_in_its_caller(self, one_worker):
+        """A call that itself runs independent calls must not wait on the one
+        worker it may be running on."""
+        inner = [lambda: threading.get_ident()] * 2
+        outer = neural.run_independent([lambda: neural.run_independent(inner)] * 2)
+        assert all(len(set(idents)) == 1 for idents in outer)
+
+    def test_concurrent_callers_share_the_worker(self, one_worker):
+        """Four threads call at once, with thread switches forced often:
+        every call runs exactly once, and each caller gets its own results
+        in order, whichever thread ran them."""
+        ran = []
+
+        def call(c, r, k):
+            ran.append((c, r, k))
+            return c, r, k
+
+        def caller(c):
+            for r in range(50):
+                got = neural.run_independent([partial(call, c, r, k) for k in range(9)])
+                assert got == [(c, r, k) for k in range(9)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as callers:
+                for done in [callers.submit(caller, c) for c in range(4)]:
+                    done.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == [(c, r, k) for c in range(4) for r in range(50) for k in range(9)]
+
+    @pytest.mark.parametrize("head", ["regression", "detection"])
+    def test_without_a_worker_sfnet_is_bit_identical(self, monkeypatch, one_worker, head):
+        threaded = sfnet_pass(head)
+        monkeypatch.setattr(neural, "_worker", lambda pid: None)
+        serial = sfnet_pass(head)
+        for a, b in zip(threaded, serial, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    def test_two_threaded_sfnet_passes_are_bit_identical(self, one_worker):
+        for a, b in zip(sfnet_pass(), sfnet_pass(), strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    def test_one_blas_thread_restores_the_count(self):
+        control = neural._blas_threads()
+        if control is None:
+            pytest.skip("numpy's OpenBLAS thread control is not found")
+        get, set_ = control
+        before = get()
+        set_(2)
+        try:
+            with neural.one_blas_thread():
+                assert get() == 1
+            assert get() == 2
+        finally:
+            set_(before)
 
 
 class TestLosses:
