@@ -12,6 +12,7 @@ files), 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -39,6 +40,7 @@ from .evalx import (
     r_squared,
 )
 from .fileio import (
+    _csv_rows,
     VERSION,
     EVENTS_HEADER,
     LABELS_HEADER,
@@ -306,10 +308,8 @@ def _cmd_detect(args, config: RunConfig, run: _Run) -> None:
 
 def _read_truth_events(path) -> dict[int, tuple[int, ...]]:
     """Accept either a labels file or an events file as ground truth."""
-    import csv as _csv
-
     with open(path, newline="") as fh:
-        header = next(_csv.reader(fh), None)
+        _, header = next(_csv_rows(path, csv.reader(fh)), (1, None))
     if header is not None and tuple(header) == EVENTS_HEADER:
         return {pid: es.doys for pid, es in read_events(path).items()}
     if header is not None and tuple(header) == LABELS_HEADER:

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from . import features
-from .core import SAR_CHANNELS, CloudMask, Dataset, ParcelLabel, PixelSeries, TemporalGrid
+from .core import SAR_CHANNELS, CloudMask, Dataset, ParcelLabel, TemporalGrid
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,6 @@ class MaskPool:
 def bootstrap_mask(pool: MaskPool, rng: np.random.Generator) -> CloudMask:
     """Draw one mask uniformly from the pool."""
     return pool.masks[int(rng.integers(len(pool.masks)))]
-
-
-def apply_mask(pixel: PixelSeries, mask: CloudMask) -> PixelSeries:
-    """Hide the NDVI observations at clouded steps; radar is untouched."""
-    if mask.bits.size != pixel.length:
-        raise ValueError(f"mask length {mask.bits.size} != series length {pixel.length}")
-    ndvi = pixel.ndvi.copy()
-    ndvi[mask.bits] = np.nan
-    return pixel.with_ndvi(ndvi)
 
 
 def seasonal_cloud_weights(doys: np.ndarray, amplitude: float = 0.8) -> np.ndarray:
@@ -312,6 +303,6 @@ def synth_dataset(cfg: SynthConfig) -> SynthResult:
 
     # pixels are numbered in parcel order, each parcel holding one block of them
     parcel_of = np.repeat(np.arange(cfg.n_parcels), cfg.pixels_per_parcel)
-    dataset = Dataset.from_arrays(grid, np.arange(parcel_of.size), parcel_of, parcel_of % cfg.n_regions,
-                                  np.concatenate(ndvi_blocks), np.concatenate(sar_blocks), labels)
+    dataset = Dataset(grid, np.arange(parcel_of.size), parcel_of, parcel_of % cfg.n_regions,
+                      np.concatenate(ndvi_blocks), np.concatenate(sar_blocks), labels)
     return SynthResult(dataset=dataset, pools=pools, cirrus=cirrus_log)

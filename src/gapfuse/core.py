@@ -5,15 +5,14 @@ operates on these types.  All time series live on a shared integer grid of
 day-of-year stamps; optical values use NaN for absent observations so that
 presence is a property of the data, not a side table.  A `Dataset` holds its
 pixels as columns (id arrays, an (N, T) NDVI block and an (N, T, 8) radar
-block); `PixelSeries` is the one-pixel form, and a dataset's rows can be
-viewed as PixelSeries for per-pixel code.
+block); `PixelSeries` is the one-pixel form, a read-only view of one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -40,19 +39,6 @@ _FLOAT32_LIMIT = 2.0 ** 128 - 2.0 ** 103
 _UNIT_RANGE_ROWS = [SAR_CHANNELS.index(c) for c in ("coh_vv", "coh_vh", "mixed_coherence")]
 
 _NDVI_RANGE_MESSAGE = "ndvi values must lie in [-1, 1]"
-
-
-def _checked_ndvi(ndvi: np.ndarray) -> np.ndarray:
-    """A read-only float64 copy of a 1-D NDVI series (NaN = absent) whose
-    present values lie in [-1, 1]."""
-    ndvi = np.asarray(ndvi, dtype=np.float64).copy()
-    ndvi.flags.writeable = False
-    if ndvi.ndim != 1:
-        raise ValueError("ndvi must be 1-D")
-    # NaN compares false, so absent steps pass
-    if (np.abs(ndvi) > 1.0).any():
-        raise ValueError(_NDVI_RANGE_MESSAGE)
-    return ndvi
 
 
 def _raise_first(checks: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:
@@ -184,7 +170,12 @@ class PixelSeries:
     sar: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        ndvi = _checked_ndvi(self.ndvi)
+        ndvi = _frozen(np.array(self.ndvi, dtype=np.float64))
+        if ndvi.ndim != 1:
+            raise ValueError("ndvi must be 1-D")
+        # NaN compares false, so absent steps pass
+        if (np.abs(ndvi) > 1.0).any():
+            raise ValueError(_NDVI_RANGE_MESSAGE)
         object.__setattr__(self, "ndvi", ndvi)
         n = ndvi.shape[0]
         if set(self.sar) != set(SAR_CHANNELS):
@@ -218,19 +209,6 @@ class PixelSeries:
     def present(self) -> np.ndarray:
         """Boolean mask of steps with an NDVI observation."""
         return ~np.isnan(self.ndvi)
-
-    def with_ndvi(self, ndvi: np.ndarray) -> "PixelSeries":
-        """The same pixel with another NDVI series.
-
-        Only the new NDVI is checked: the radar channels were checked when
-        this series was made, and are read-only, so they are shared."""
-        ndvi = _checked_ndvi(ndvi)
-        if ndvi.shape != self.ndvi.shape:
-            raise ValueError(
-                f"channel {SAR_CHANNELS[0]} length {self.ndvi.shape} != ndvi length {ndvi.shape[0]}")
-        out = object.__new__(PixelSeries)
-        out.__dict__.update(self.__dict__, ndvi=ndvi)
-        return out
 
 
 @dataclass(frozen=True)
@@ -277,38 +255,21 @@ class Dataset:
     `parcel_sizes` and `parcel_region_ids` (the region of a parcel's first
     pixel) in that order, and `parcel_order`, the rows grouped by parcel in
     that order and kept in construction order within a parcel.  `pixels`
-    views the rows as PixelSeries for per-pixel code.
-
-    `Dataset(grid, pixels, labels)` builds a dataset from PixelSeries and
-    `Dataset.from_arrays` from columns; `select` derives one from another.
+    views the rows as PixelSeries.  `select` derives a dataset from
+    another.
     """
 
-    def __init__(self, grid: TemporalGrid, pixels: Iterable[PixelSeries] = (),
+    def __init__(self, grid: TemporalGrid, pixel_ids, parcel_ids, region_ids, ndvi, sar,
                  labels: Mapping[int, ParcelLabel] | None = None):
-        pixels = tuple(pixels)
-        for px in pixels:
-            if px.length != grid.length:
-                raise ValueError(f"pixel {px.pixel_id} length {px.length} != grid length {grid.length}")
-        n, t = len(pixels), grid.length
-        ndvi = np.array([px.ndvi for px in pixels], dtype=np.float64).reshape(n, t)
-        sar = np.array([[px.sar[c] for c in SAR_CHANNELS] for px in pixels], dtype=np.float64)
-        sar = np.ascontiguousarray(sar.reshape(n, len(SAR_CHANNELS), t).transpose(0, 2, 1))
-        ids = (_id_column([getattr(px, f) for px in pixels]) for f in ("pixel_id", "parcel_id", "region_id"))
-        # each PixelSeries was checked when it was made
-        self._setup(grid, *ids, ndvi, sar, labels, check_radar=False)
-        object.__setattr__(self, "_pixels", pixels)
-
-    @classmethod
-    def from_arrays(cls, grid: TemporalGrid, pixel_ids, parcel_ids, region_ids, ndvi, sar,
-                    labels: Mapping[int, ParcelLabel] | None = None) -> "Dataset":
         """A dataset of N pixels given as columns: three (N,) integer id
         arrays, the (N, T) NDVI block and the (N, T, 8) radar block.
 
-        Every pixel gets the checks a PixelSeries gets, then the dataset the
-        checks `Dataset(grid, pixels)` makes; the error is the one for the
-        first failing pixel.  The blocks are taken over, not copied, when
-        they already are C-ordered float64 arrays: they are then made
-        read-only in place, and must not be written through another view."""
+        Every row is checked (NDVI range, radar values finite in float32
+        and coherences in [0, 1]), then the dataset (unique pixel ids,
+        labels of known parcels); the error names the first failing row.
+        The blocks are taken over, not copied, when they already are
+        C-ordered float64 arrays: they are then made read-only in place,
+        and must not be written through another view."""
         ndvi, sar = (np.ascontiguousarray(a, dtype=np.float64) for a in (ndvi, sar))
         n = ndvi.shape[0] if ndvi.ndim == 2 else -1
         if ndvi.shape != (n, grid.length):
@@ -318,9 +279,7 @@ class Dataset:
         columns = [_id_column(ids) for ids in (pixel_ids, parcel_ids, region_ids)]
         if any(col.shape != (n,) for col in columns):
             raise ValueError(f"id column shapes {[col.shape for col in columns]} != ({n},)")
-        out = cls.__new__(cls)
-        out._setup(grid, *columns, ndvi, sar, labels, check_radar=True)
-        return out
+        self._setup(grid, *columns, ndvi, sar, labels, check_radar=True)
 
     def _setup(self, grid, pixel_ids, parcel_ids, region_ids, ndvi, sar, labels, check_radar) -> None:
         object.__setattr__(self, "grid", grid)
@@ -404,6 +363,7 @@ class Dataset:
             blocks.append((at, self.parcel_order[starts[at, None] + np.arange(m)]))
         return blocks
 
+    # kept because perfbench/tracer.py wraps this name; it goes with ROADMAP item 1
     def parcel_pixels(self, parcel_id: int) -> tuple[PixelSeries, ...]:
         (k,), (start,) = self._locate([parcel_id])
         pixels = self.pixels
@@ -471,6 +431,7 @@ def parcel_aggregates(dataset: Dataset, parcel_ids=None) -> tuple[np.ndarray, np
     return np.clip(ndvi, -1.0, 1.0), sar
 
 
+# kept because perfbench/tracer.py wraps this name; it goes with ROADMAP item 1
 def parcel_series(dataset: Dataset, parcel_id: int) -> PixelSeries:
     """One parcel's aggregate (see `parcel_aggregates`) as a series that
     carries the parcel id in both id fields and the region of the parcel's

@@ -1,4 +1,5 @@
-"""Composite radar features and the optical vegetation index.
+"""Composite radar features: `derive_channels` expands the four raw radar
+series into the model's eight radar channels.
 
 Ratio and RVI are computed in the linear-power domain; the cross-ratio is a
 difference of decibel values (a log-ratio).  All functions accept scalars or
@@ -10,14 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import SAR_CHANNELS
-
-
-def to_db(sigma_lin):
-    """Convert linear-power backscatter to decibels; input must be > 0."""
-    sigma_lin = np.asarray(sigma_lin, dtype=np.float64)
-    if np.any(sigma_lin <= 0.0):
-        raise ValueError("backscatter must be positive to convert to dB")
-    return 10.0 * np.log10(sigma_lin)
 
 
 def db_to_linear(sigma_db):
@@ -63,18 +56,6 @@ def rvi(vh_lin, vv_lin):
     if np.any(denom == 0.0):
         raise ValueError("rvi denominator vh+vv must be positive")
     return 4.0 * vh_lin / denom
-
-
-def ndvi(nir, red):
-    """(NIR-RED)/(NIR+RED) from nonnegative reflectances, in [-1, 1]."""
-    nir = np.asarray(nir, dtype=np.float64)
-    red = np.asarray(red, dtype=np.float64)
-    if np.any(nir < 0.0) or np.any(red < 0.0):
-        raise ValueError("reflectances must be nonnegative")
-    denom = nir + red
-    if np.any(denom == 0.0):
-        raise ValueError("ndvi denominator nir+red must be positive")
-    return (nir - red) / denom
 
 
 def derive_channels(sig_vv_db, sig_vh_db, coh_vv, coh_vh) -> dict[str, np.ndarray]:

@@ -142,6 +142,15 @@ def _parse_int(path, row: int, column: str, raw: str) -> int:
         raise FileFormatError(path, f"not an integer: {raw!r}", row, column) from None
 
 
+def _parse_doy(path, row: int, raw: str) -> int:
+    """An `event_doy` cell: an integer in the int64 range, so that grid
+    arithmetic on it stays finite."""
+    doy = _parse_int(path, row, "event_doy", raw)
+    if not -2 ** 63 <= doy < 2 ** 63:
+        raise FileFormatError(path, "day of year outside the int64 range", row, "event_doy")
+    return doy
+
+
 def _parse_float(path, row: int, column: str, raw: str) -> float:
     try:
         v = float(raw)
@@ -499,7 +508,7 @@ def read_dataset(path) -> Dataset:
         return column[rows].reshape(n_full, grid.length)
 
     sar = derive_channels(*(block(cols[c]) for c in _RAW_TO_CHANNEL))
-    checked = Dataset.from_arrays(
+    checked = Dataset(
         grid, pixel_ids[:n_full], parcel[first_of_pixel][:n_full], region[first_of_pixel][:n_full],
         block(ndvi), np.stack([sar[c] for c in SAR_CHANNELS], axis=2))
     if n_full < pixel_ids.shape[0]:
@@ -521,7 +530,7 @@ def read_labels(path) -> dict[int, ParcelLabel]:
             pid = _parse_int(path, rownum, "parcel_id", row[0])
             bucket = doys.setdefault(pid, [])
             if row[1] != "":
-                bucket.append(_parse_int(path, rownum, "event_doy", row[1]))
+                bucket.append(_parse_doy(path, rownum, row[1]))
     return {pid: ParcelLabel(pid, tuple(v)) for pid, v in doys.items()}
 
 
@@ -599,7 +608,7 @@ def read_events(path) -> dict[int, EventSet]:
             if (row[1] == "") != (row[2] == ""):
                 raise FileFormatError(path, "event_doy and score must be both empty or both set", rownum)
             if row[1] != "":
-                doy = _parse_int(path, rownum, "event_doy", row[1])
+                doy = _parse_doy(path, rownum, row[1])
                 score = _parse_float(path, rownum, "score", row[2])
                 bucket.append(Event(doy=doy, score=score))
     return {pid: EventSet(pid, tuple(evs)) for pid, evs in collected.items()}

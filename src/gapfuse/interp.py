@@ -22,16 +22,6 @@ MIN_KNOTS_QUADRATIC = 3
 MIN_KNOTS_AKIMA = 5
 
 
-def knots_from_series(ndvi: np.ndarray, grid: TemporalGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (doy, value) knot arrays from the present steps of a series."""
-    ndvi = np.asarray(ndvi, dtype=np.float64)
-    if ndvi.shape != (grid.length,):
-        raise ValueError(f"series length {ndvi.shape} != grid length {grid.length}")
-    present = ~np.isnan(ndvi)
-    x = grid.doys.astype(np.float64)[present]
-    return x, ndvi[present]
-
-
 def _check_knots(x: np.ndarray, y: np.ndarray, minimum: int, method: str) -> None:
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError("knot arrays must be 1-D and equal length")

@@ -380,9 +380,9 @@ class LstmCell(Layer):
     """Fused-parameter LSTM over [h_{t-1}, x_t], mapping (T, B, C) to (T, B, H).
 
     One weight matrix of shape (H + C, 4H) and one bias of length 4H hold
-    the four gate blocks in the order forget, input, candidate, output;
-    the per-gate views are exposed as W_f/W_i/W_C/W_o and b_f/b_i/b_C/b_o.
-    The forget-gate bias starts at 1.0.  A `reverse` cell runs its
+    the four gate blocks in the order forget, input, candidate, output, so
+    gate g's block is columns g*H to (g+1)*H of `w` and `b`.  The
+    forget-gate bias starts at 1.0.  A `reverse` cell runs its
     recurrence from the last step to the first over the same arrays.
     """
 
@@ -400,39 +400,6 @@ class LstmCell(Layer):
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
         self._cache: dict | None = None
-
-    # gate views over the fused parameters (order f, i, C, o)
-    @property
-    def W_f(self):
-        return self.w[:, : self.hidden_size]
-
-    @property
-    def W_i(self):
-        return self.w[:, self.hidden_size: 2 * self.hidden_size]
-
-    @property
-    def W_C(self):
-        return self.w[:, 2 * self.hidden_size: 3 * self.hidden_size]
-
-    @property
-    def W_o(self):
-        return self.w[:, 3 * self.hidden_size:]
-
-    @property
-    def b_f(self):
-        return self.b[: self.hidden_size]
-
-    @property
-    def b_i(self):
-        return self.b[self.hidden_size: 2 * self.hidden_size]
-
-    @property
-    def b_C(self):
-        return self.b[2 * self.hidden_size: 3 * self.hidden_size]
-
-    @property
-    def b_o(self):
-        return self.b[3 * self.hidden_size:]
 
     def _order(self, t: int) -> tuple[range, slice, slice]:
         """The steps in the order the recurrence visits them, then the steps

@@ -557,10 +557,6 @@ def predict_batch(model: SfModel, ndvi: np.ndarray, sar: np.ndarray) -> np.ndarr
     return infer(model.net, *encode_arrays(ndvi, sar, model.stats, model.arch))
 
 
-def predict_pixel(model: SfModel, pixel: PixelSeries) -> np.ndarray:
-    return predict_batch(model, pixel.ndvi[None, :], sar_stack(pixel)[None, :, :])[0]
-
-
 def fill_batch(
     ndvi: np.ndarray,
     grid: TemporalGrid,
@@ -606,6 +602,7 @@ def fill_batch(
     return np.where(present & ~flagged, ndvi, pred), flagged
 
 
+# kept because perfbench/tracer.py wraps this name; it goes with ROADMAP item 1
 def gapfill_sf(
     model: SfModel, pixel: PixelSeries, cloud_filter_threshold: float | None = None
 ) -> np.ndarray:
@@ -616,6 +613,7 @@ def gapfill_sf(
     return filled[0]
 
 
+# kept because perfbench/tracer.py wraps this name; it goes with ROADMAP item 1
 def cloud_filter(model: SfModel, pixel: PixelSeries, threshold: float = 0.15) -> np.ndarray:
     """Flag present steps whose observation sits anomalously LOW versus the
     fused prediction (suspected residual cloud)."""

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapfuse import (
-    Dataset,
     DensityCriteria,
     OutlierParams,
     SynthConfig,
@@ -335,8 +334,9 @@ def test_assembly_matches_per_pixel_reference():
     sparse = ds.parcel_ids[2]
     thin = np.full(GRID.length, np.nan)
     thin[::4] = 0.5
-    pixels = [px.with_ndvi(thin) if px.parcel_id == sparse else px for px in ds.pixels]
-    ds = Dataset(grid=ds.grid, pixels=pixels, labels=ds.labels)
+    ndvi = ds.ndvi.copy()
+    ndvi[ds.pixel_parcel_ids == sparse] = thin
+    ds = ds.select(ndvi=ndvi)
 
     want = ref_assemble(ds, scene.pools, np.random.default_rng(7))
     got = assemble_training_set(ds, scene.pools, np.random.default_rng(7))

@@ -12,7 +12,6 @@ import pytest
 
 from gapfuse import (
     CloudMask,
-    Dataset,
     MaskPool,
     ParcelLabel,
     PixelSeries,
@@ -419,6 +418,21 @@ class TestTrain:
         assert regression["pos_weight"] is None
         assert set(report) == set(regression)
 
+    def test_event_doy_too_large_for_a_float_exits_two(self, tmp_path, capsys):
+        """A label's event day is mapped to a grid step through float
+        arithmetic; one past the int64 range is bad input at its row."""
+        ds = tmp_path / "ds"
+        assert main(["synth", "--out", str(ds), "--parcels", "6", "--pixels-per-parcel", "2",
+                     "--regions", "2", "--seed", "3"]) == 0
+        labels = ds / "labels.csv"
+        lines = labels.read_text().splitlines()
+        lines[2] = lines[2].split(",")[0] + "," + "9" * 401
+        labels.write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--in", str(ds), "--out", str(tmp_path / "det.gfm"),
+                   "--head", "detection", "--fill", "linear", "--epochs", "1"])
+        assert rc == 2
+        assert "labels.csv, row 3, column 'event_doy': day of year outside the int64 range" in capsys.readouterr().err
+
     def test_no_positive_loss_weight_exits_two(self, ws, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"train": {"w_alpha": 0, "w_beta": 0, "w_interp": 0}}))
@@ -574,14 +588,14 @@ class TestDetectAndEval:
     def test_detect_runs_mda1_on_a_series_too_sparse_to_fill(self, tmp_path):
         """mda1 accepts gaps, so a parcel with fewer observations than Akima
         needs is detected unfilled; mda2 still needs a full series."""
-        from tests.test_core import make_sar
+        from tests.test_core import dataset_of, make_sar
 
         grid = TemporalGrid()
         ndvi = np.full(grid.length, np.nan)
         ndvi[[3, 10, 20]] = [0.7, 0.4, 0.6]
         px = PixelSeries(0, 0, 0, ndvi, make_sar(grid.length))
         sparse = tmp_path / "sparse"
-        write_dataset(Dataset(grid=grid, pixels=(px,), labels={0: ParcelLabel(0, ())}), sparse)
+        write_dataset(dataset_of(grid, (px,), {0: ParcelLabel(0, ())}), sparse)
         events = tmp_path / "events.csv"
         assert main(["detect", "--in", str(sparse), "--out", str(events), "--raw",
                      "--fill", "akima", "--algo", "mda1"]) == 0

@@ -5,10 +5,10 @@ import pytest
 
 from gapfuse import (
     CloudMask,
+    Dataset,
     MaskPool,
     SynthConfig,
     TemporalGrid,
-    apply_mask,
     bootstrap_mask,
     derive_channels,
     parcel_series,
@@ -59,18 +59,18 @@ class TestMaskPool:
                     run_lengths.append(run)
         assert max(run_lengths) >= 3
 
-    def test_apply_mask_hides_steps(self):
-        from tests.test_core import make_sar
-
-        from gapfuse import PixelSeries
-
-        px = PixelSeries(0, 0, 0, np.full(4, 0.5), make_sar(4))
+    def test_mask_hides_steps(self):
+        """A mask hides NDVI by NaN assignment at its clouded steps and
+        `Dataset.select(ndvi=...)`."""
+        ds = Dataset(TemporalGrid(length=4), [0], [0], [0], np.full((1, 4), 0.5), np.full((1, 4, 8), 0.5))
         mask = CloudMask(0, 0, np.array([True, False, True, False]))
-        out = apply_mask(px, mask)
-        assert np.isnan(out.ndvi[0]) and np.isnan(out.ndvi[2])
-        assert out.ndvi[1] == 0.5
+        ndvi = ds.ndvi.copy()
+        ndvi[:, mask.bits] = np.nan
+        out = ds.select(ndvi=ndvi)
+        assert np.isnan(out.ndvi[0, 0]) and np.isnan(out.ndvi[0, 2])
+        assert out.ndvi[0, 1] == 0.5
         # radar is weather-independent: untouched
-        assert np.array_equal(out.sar["coh_vv"], px.sar["coh_vv"])
+        assert out.sar.tobytes() == ds.sar.tobytes()
 
 
 class TestSynthConfigValidation:

@@ -59,8 +59,7 @@ def scenes(draw):
     ndvi[~present] = np.nan
     sar = rng.normal(0.0, 1.0, (n, t, 8)) * 10.0 ** rng.integers(-5, 4, (n, t, 8))
     sar[:, :, [2, 3, 6]] = rng.uniform(0.0, 1.0, (n, t, 3))
-    return Dataset.from_arrays(TemporalGrid(length=t), rng.permutation(n) * 7 + 3, parcel_of,
-                               parcel_of % 3, ndvi, sar)
+    return Dataset(TemporalGrid(length=t), rng.permutation(n) * 7 + 3, parcel_of, parcel_of % 3, ndvi, sar)
 
 
 class TestParcelAggregates:
@@ -88,8 +87,7 @@ class TestParcelAggregates:
         assert sar.tobytes() == every_sar[at].tobytes()
 
     def test_unknown_parcel_is_a_key_error(self):
-        ds = Dataset.from_arrays(TemporalGrid(length=2), [1], [4], [0], np.zeros((1, 2)),
-                                 np.full((1, 2, 8), 0.5))
+        ds = Dataset(TemporalGrid(length=2), [1], [4], [0], np.zeros((1, 2)), np.full((1, 2, 8), 0.5))
         with pytest.raises(KeyError, match="unknown parcel 9"):
             parcel_aggregates(ds, [4, 9])
 
@@ -105,7 +103,7 @@ def _grid_dataset(n=4, t=3) -> tuple[TemporalGrid, dict]:
 class TestColumnarDataset:
     def test_rows_keep_construction_order_and_group_by_parcel(self):
         grid, cols = _grid_dataset()
-        ds = Dataset.from_arrays(grid, **cols)
+        ds = Dataset(grid, **cols)
         assert ds.pixel_ids.tolist() == [0, 10, 20, 30]
         assert ds.parcel_ids == (2, 5)
         assert ds.parcel_sizes.tolist() == [2, 2]
@@ -116,7 +114,7 @@ class TestColumnarDataset:
     def test_arrays_are_taken_over_read_only(self):
         grid, cols = _grid_dataset()
         cols["sar"] = cols["sar"].astype(np.float32)
-        ds = Dataset.from_arrays(grid, **cols)
+        ds = Dataset(grid, **cols)
         assert ds.ndvi is cols["ndvi"] and ds.sar.dtype == np.float64
         for arr in (ds.ndvi, ds.sar, ds.pixel_ids, ds.parcel_order):
             assert not arr.flags.writeable
@@ -143,22 +141,20 @@ class TestColumnarDataset:
         for name, index, value in edits:
             cols[name][index] = value
         with pytest.raises(ValueError, match=message):
-            Dataset.from_arrays(grid, **cols)
+            Dataset(grid, **cols)
 
     def test_row_views_match_the_columns(self):
         grid, cols = _grid_dataset()
-        ds = Dataset.from_arrays(grid, **cols)
+        ds = Dataset(grid, **cols)
         px = ds.pixels[2]
         assert (px.pixel_id, px.parcel_id, px.region_id) == (20, 5, 1)
         assert px.sar["coh_vh"].tobytes() == ds.sar[2, :, 3].tobytes()
         with pytest.raises(ValueError):
             px.ndvi[0] = 0.0
-        again = Dataset(grid, ds.pixels)
-        assert again.ndvi.tobytes() == ds.ndvi.tobytes() and again.sar.tobytes() == ds.sar.tobytes()
 
     def test_select_subsets_rows_replaces_ndvi_and_drops_orphan_labels(self):
         grid, cols = _grid_dataset()
-        ds = Dataset.from_arrays(grid, **cols, labels={2: ParcelLabel(2, (112,)), 5: ParcelLabel(5)})
+        ds = Dataset(grid, **cols, labels={2: ParcelLabel(2, (112,)), 5: ParcelLabel(5)})
         sub = ds.select([3, 1], np.array([[0.1, np.nan, 0.2], [0.3, 0.4, np.nan]]))
         assert sub.pixel_ids.tolist() == [30, 10]
         assert sub.ndvi[0, 0] == 0.1 and sub.sar.tobytes() == ds.sar[[3, 1]].tobytes()
@@ -171,10 +167,9 @@ class TestColumnarDataset:
 
 
 def _count_pixel_series(monkeypatch) -> list[str]:
-    """Record every PixelSeries construction: checked, as a row view, or
-    through `with_ndvi`."""
+    """Record every PixelSeries construction: checked or as a row view."""
     made: list[str] = []
-    post_init, view, with_ndvi = PixelSeries.__post_init__, PixelSeries._view, PixelSeries.with_ndvi
+    post_init, view = PixelSeries.__post_init__, PixelSeries._view
 
     def counted_post_init(self):
         made.append("init")
@@ -184,13 +179,8 @@ def _count_pixel_series(monkeypatch) -> list[str]:
         made.append("view")
         return view(*args)
 
-    def counted_with_ndvi(self, ndvi):
-        made.append("with_ndvi")
-        return with_ndvi(self, ndvi)
-
     monkeypatch.setattr(PixelSeries, "__post_init__", counted_post_init)
     monkeypatch.setattr(PixelSeries, "_view", classmethod(counted_view))
-    monkeypatch.setattr(PixelSeries, "with_ndvi", counted_with_ndvi)
     return made
 
 

@@ -312,13 +312,13 @@ class TestDetectParcel:
     def test_outlier_cleaning_drops_spike_event(self):
         """An isolated downward spike fires the drop rule unless the
         cleaning pass removes it first."""
-        from gapfuse.core import Dataset, PixelSeries
-        from tests.test_core import make_sar
+        from gapfuse.core import PixelSeries
+        from tests.test_core import dataset_of, make_sar
 
         s = flat(0.7)
         s[12] = 0.35
         px = PixelSeries(0, 0, 0, s, make_sar(GRID.length))
-        ds = Dataset(grid=GRID, pixels=(px,), labels={0: ParcelLabel(0, ())})
+        ds = dataset_of(GRID, (px,), {0: ParcelLabel(0, ())})
         noisy = detect_parcel(ds, 0, "mda1", fill_method="linear")
         cleaned = detect_parcel(ds, 0, "mda1", fill_method="linear", outlier=OutlierParams())
         assert len(noisy.events) == 1

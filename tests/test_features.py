@@ -7,31 +7,23 @@ from gapfuse import SAR_CHANNELS, derive_channels
 from gapfuse.features import (
     db_to_linear,
     mixed_coherence,
-    ndvi,
     rvi,
     sigma0_cross_ratio,
     sigma0_ratio,
-    to_db,
 )
 
 
 class TestDbConversion:
     def test_unit_power_is_zero_db(self):
-        assert to_db(1.0) == 0.0
+        assert db_to_linear(0.0) == 1.0
 
     def test_decade_is_ten_db(self):
-        assert to_db(10.0) == pytest.approx(10.0)
-        assert to_db(0.1) == pytest.approx(-10.0)
+        assert db_to_linear(10.0) == pytest.approx(10.0)
+        assert db_to_linear(-10.0) == pytest.approx(0.1)
 
     def test_round_trip(self):
         x = np.array([0.003, 0.07, 1.9])
-        assert np.allclose(db_to_linear(to_db(x)), x)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            to_db(0.0)
-        with pytest.raises(ValueError):
-            to_db(np.array([1.0, -0.5]))
+        assert np.allclose(db_to_linear(10.0 * np.log10(x)), x)
 
 
 class TestRatios:
@@ -93,19 +85,6 @@ class TestRvi:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             rvi(-0.1, 0.5)
-
-
-class TestNdvi:
-    def test_formula(self):
-        assert ndvi(0.6, 0.2) == pytest.approx(0.5)
-
-    def test_bounds(self):
-        assert ndvi(1.0, 0.0) == 1.0
-        assert ndvi(0.0, 1.0) == -1.0
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ValueError):
-            ndvi(0.0, 0.0)
 
 
 class TestDeriveChannels:

@@ -9,7 +9,6 @@ import pytest
 
 from gapfuse import (
     SAR_CHANNELS,
-    Dataset,
     Event,
     EventSet,
     FileFormatError,
@@ -42,6 +41,7 @@ from gapfuse.fileio import (
     sha256_file,
     write_json,
 )
+from tests.test_core import dataset_of
 
 
 @pytest.fixture(scope="module")
@@ -148,10 +148,10 @@ def _two_pixel_dataset():
         return out
 
     grid = TemporalGrid(start_doy=100, step_days=6, length=2)
-    return Dataset(grid=grid, pixels=(
+    return dataset_of(grid, (
         PixelSeries(7, 3, 1, np.array([np.nan, -0.0]), sar([-12.5, -1e16], [-18.25, -1e-05], [0.1, 1e-05], [0.0, 1.0])),
         PixelSeries(2, 4, 0, np.array([0.1, 1e-05]), sar([-0.0, -7.0], [-20.0, 3.0], [0.5, 0.25], [1e-05, 0.1])),
-    ), labels={3: ParcelLabel(3, (112, 106)), 4: ParcelLabel(4, ())})
+    ), {3: ParcelLabel(3, (112, 106)), 4: ParcelLabel(4, ())})
 
 
 def _write_rows(directory, rows):
@@ -272,6 +272,21 @@ class TestEvents:
         p.write_text("parcel_id,event_doy,score\n9,160,\n")
         with pytest.raises(FileFormatError):
             read_events(p)
+
+    @pytest.mark.parametrize("reader, header, tail, doys", [
+        (read_labels, "parcel_id,event_doy", "", "event_doys"),
+        (read_events, "parcel_id,event_doy,score", ",0.5", "doys"),
+    ], ids=["labels", "events"])
+    def test_event_doy_must_lie_in_the_int64_range(self, tmp_path, reader, header, tail, doys):
+        p = tmp_path / "events.csv"
+        for doy in (2 ** 63 - 1, -2 ** 63):
+            p.write_text(f"{header}\n9,{doy}{tail}\n")
+            assert getattr(reader(p)[9], doys) == (doy,)
+        for doy in (2 ** 63, -2 ** 63 - 1, int("9" * 401)):
+            p.write_text(f"{header}\n9,160{tail}\n9,{doy}{tail}\n")
+            with pytest.raises(FileFormatError, match="row 3, column 'event_doy'.*outside the int64 range") as e:
+                reader(p)
+            assert e.value.path == str(p)
 
 
 class TestModelContainer:

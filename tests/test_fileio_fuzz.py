@@ -38,6 +38,7 @@ from gapfuse import (
 )
 from gapfuse import fileio
 from gapfuse.cli import main
+from tests.test_core import dataset_of
 
 HEADER = fileio.DATASET_HEADER
 
@@ -151,7 +152,7 @@ def _valid_dataset() -> Dataset:
         sar = derive_channels(rng.normal(-12, 2, grid.length), rng.normal(-18, 2, grid.length),
                               rng.uniform(0, 1, grid.length), rng.uniform(0, 1, grid.length))
         pixels.append(PixelSeries(pid, parcel, region, ndvi, sar))
-    return Dataset(grid=grid, pixels=tuple(pixels), labels={1: ParcelLabel(1, (112,)), 4: ParcelLabel(4, ())})
+    return dataset_of(grid, pixels, {1: ParcelLabel(1, (112,)), 4: ParcelLabel(4, ())})
 
 
 def _valid_lines() -> list[str]:

@@ -13,7 +13,6 @@ from gapfuse.interp import (
     MIN_KNOTS_LINEAR,
     MIN_KNOTS_QUADRATIC,
     akima_interpolate,
-    knots_from_series,
     linear_interpolate,
     quadratic_interpolate,
 )
@@ -183,7 +182,7 @@ class TestFillContract:
         grid = self.grid()
         s = np.array([0.1, 0.5, 0.9, np.nan, np.nan, np.nan, 0.95, 0.6, 0.3, 0.1])
         gaps = np.isnan(s)
-        x, y = knots_from_series(s, grid)
+        x, y = grid.doys[~gaps].astype(np.float64), s[~gaps]
         for interpolate, fill in ((akima_interpolate, fill_akima), (quadratic_interpolate, fill_quadratic)):
             raw = interpolate(x, y, grid.doys[gaps])
             assert raw.max() > 1.0
@@ -197,13 +196,6 @@ class TestFillContract:
         before = s.copy()
         fill_linear(s, grid)
         assert np.array_equal(np.isnan(s), np.isnan(before))
-
-    def test_knots_from_series(self):
-        grid = self.grid()
-        s = self.series()
-        x, y = knots_from_series(s, grid)
-        assert x.size == 7
-        assert np.all(np.isin(x, grid.doys))
 
     def test_too_few_observations_rejected(self):
         grid = self.grid()

@@ -280,13 +280,9 @@ def lstm_reference(w, b, x, dy):
 class TestLstmCell:
     def test_forget_bias_initialized_to_one(self):
         cell = LstmCell(2, 3, rng(1))
-        assert np.all(cell.b_f == 1.0)
-        assert not cell.b_i.any() and not cell.b_C.any() and not cell.b_o.any()
-
-    def test_gate_views_alias_fused_tensor(self):
-        cell = LstmCell(2, 3, rng(2))
-        cell.W_o[...] = 7.0
-        assert np.all(cell.w[:, 9:] == 7.0)
+        # the f, i, C, o gate blocks of the fused bias
+        assert np.all(cell.b[:3] == 1.0)
+        assert not cell.b[3:].any()
 
     def test_zero_weight_recurrence(self):
         """With weights zeroed the gates reduce to their biases, which pins
@@ -295,9 +291,10 @@ class TestLstmCell:
         h_t = sigmoid(b_o) * tanh(c_t)."""
         cell = LstmCell(2, 3, rng(3), dtype=np.float64)
         cell.w[...] = 0.0
-        cell.b_i[...] = 0.3
-        cell.b_C[...] = 0.8
-        cell.b_o[...] = -0.5
+        # gate g's bias is b[3g:3(g+1)] (H = 3): i, C and o here
+        cell.b[3:6] = 0.3
+        cell.b[6:9] = 0.8
+        cell.b[9:] = -0.5
         h = cell.forward(rng(4).standard_normal((4, 1, 2)))[:, 0]
         c, want = 0.0, []
         for _ in range(4):

@@ -20,7 +20,6 @@ from gapfuse import (
     encode_arrays,
     gapfill_sf,
     predict_batch,
-    predict_pixel,
     sar_group_channels,
     sar_stack,
     synth_dataset,
@@ -341,7 +340,7 @@ class TestPrediction:
         px = synth.dataset.pixels[0]
         flags = cloud_filter(model, px, threshold=0.0)
         filled = gapfill_sf(model, px, cloud_filter_threshold=0.0)
-        pred = predict_pixel(model, px)
+        pred = predict_batch(model, synth.dataset.ndvi[:1], synth.dataset.sar[:1])[0]
         assert np.allclose(filled[flags], pred[flags])
 
     def test_gapfill_with_filter_runs_the_net_once(self, tiny_model, synth, monkeypatch):
