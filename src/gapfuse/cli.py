@@ -12,8 +12,6 @@ files), 3 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -40,13 +38,14 @@ from .evalx import (
     r_squared,
 )
 from .fileio import (
-    _csv_rows,
+    _csv_file,
     VERSION,
     EVENTS_HEADER,
     LABELS_HEADER,
     FileFormatError,
     RunConfig,
     hash_tree,
+    jsonable,
     load_config,
     load_model,
     read_dataset,
@@ -91,6 +90,18 @@ class _Run:
     def wrote(self, *paths) -> None:
         self._written.extend(Path(p) for p in paths)
 
+    def read_dataset(self, path) -> Dataset:
+        """Record the dataset directory `path` as an input and read it."""
+        self.record_input(path)
+        if not Path(path).is_dir():
+            raise FileNotFoundError(f"dataset directory not found: {path}")
+        return read_dataset(path)
+
+    def write_json(self, path, obj) -> None:
+        """Write `obj` as JSON (see `fileio.write_json`) and record it as an output."""
+        write_json(path, obj)
+        self.wrote(path)
+
     def finish(self, manifest_path) -> None:
         # keys relative to the manifest keep the record valid if the output
         # directory is moved; inputs live elsewhere and stay absolute
@@ -122,33 +133,18 @@ def _sibling_manifest(out_file: Path) -> Path:
     return out_file.with_name(out_file.stem + ".manifest.json")
 
 
-def _override(config: RunConfig, section: str, **maybe) -> RunConfig:
-    updates = {k: v for k, v in maybe.items() if v is not None}
-    return config.replace_section(section, **updates) if updates else config
-
-
-def _load_dataset(path) -> Dataset:
-    p = Path(path)
-    if not p.is_dir():
-        raise FileNotFoundError(f"dataset directory not found: {p}")
-    return read_dataset(p)
-
-
 def _cmd_synth(args, config: RunConfig, run: _Run) -> None:
     out = Path(args.out)
     result = synth_dataset(config.synth)
     _write_dataset(run, result.dataset, out)
     write_mask_pools(result.pools, out / "masks.csv")
     run.wrote(out / "masks.csv")
-    cirrus = {str(pid): [[int(s), float(d)] for s, d in hits] for pid, hits in result.cirrus.items()}
-    write_json(out / "cirrus.json", cirrus)
-    run.wrote(out / "cirrus.json")
+    run.write_json(out / "cirrus.json", result.cirrus)
     run.finish(out / "manifest.json")
 
 
 def _cmd_preprocess(args, config: RunConfig, run: _Run) -> None:
-    run.record_input(args.inp)
-    ds = _load_dataset(args.inp)
+    ds = run.read_dataset(args.inp)
     out = Path(args.out)
     ndvi = ds.ndvi
     cleaned = remove_outliers(ndvi, ds.grid, config.outlier)
@@ -166,14 +162,12 @@ def _cmd_preprocess(args, config: RunConfig, run: _Run) -> None:
         "n_outlier_points_removed": int(np.sum(~np.isnan(ndvi)) - np.sum(~np.isnan(cleaned))),
         "n_density_compliant": int(ok.sum()),
     }
-    write_json(out / "preprocess_report.json", report)
-    run.wrote(out / "preprocess_report.json")
+    run.write_json(out / "preprocess_report.json", report)
     run.finish(out / "manifest.json")
 
 
 def _cmd_mask(args, config: RunConfig, run: _Run) -> None:
-    run.record_input(args.inp)
-    ds = _load_dataset(args.inp)
+    ds = run.read_dataset(args.inp)
     out = Path(args.out)
     regions = np.unique(ds.pixel_region_ids).tolist()
     rng = np.random.default_rng(np.random.SeedSequence((config.pipeline.seed, 11)))
@@ -187,8 +181,7 @@ def _cmd_mask(args, config: RunConfig, run: _Run) -> None:
 
 
 def _cmd_train(args, config: RunConfig, run: _Run) -> None:
-    run.record_input(args.inp)
-    ds = _load_dataset(args.inp)
+    ds = run.read_dataset(args.inp)
     out = Path(args.out)
     if args.head == "regression":
         if args.masks is None:
@@ -203,9 +196,7 @@ def _cmd_train(args, config: RunConfig, run: _Run) -> None:
         model, report = train_dnn_detector(series, labels, ds.grid, config.train)
     save_model(model, out)
     run.wrote(out)
-    report_path = out.with_name(out.stem + ".report.json")
-    write_json(report_path, dataclasses.asdict(report))
-    run.wrote(report_path)
+    run.write_json(out.with_name(out.stem + ".report.json"), report)
     run.finish(_sibling_manifest(out))
 
 
@@ -222,7 +213,7 @@ def _fill_model(args, method: str, run: _Run):
 def _filled_parcel_series(args, config: RunConfig, ds: Dataset, run: _Run):
     """(parcel aggregate series filled by --fill, binary event labels)."""
     parcels = list(ds.parcel_ids)
-    fill = args.fill or config.pipeline.fill_method
+    fill = config.pipeline.fill_method
     if fill == "none":
         raise ValueError("detector training needs a continuous series; pick a fill method")
     ndvi, sar = parcel_block(ds, parcels, config.outlier)
@@ -234,8 +225,7 @@ def _filled_parcel_series(args, config: RunConfig, ds: Dataset, run: _Run):
 
 
 def _cmd_gapfill(args, config: RunConfig, run: _Run) -> None:
-    run.record_input(args.inp)
-    ds = _load_dataset(args.inp)
+    ds = run.read_dataset(args.inp)
     out = Path(args.out)
     method = args.method or config.pipeline.fill_method
     if method == "none":
@@ -251,15 +241,13 @@ def _cmd_gapfill(args, config: RunConfig, run: _Run) -> None:
         "n_skipped_pixels": int(np.isnan(filled).any(axis=1).sum()),
         "n_filled_steps": int(np.sum(np.isnan(ndvi) & ~np.isnan(filled))),
     }
-    write_json(out / "gapfill_report.json", report)
-    run.wrote(out / "gapfill_report.json")
+    run.write_json(out / "gapfill_report.json", report)
     run.finish(out / "manifest.json")
 
 
 def _cmd_cloudfilter(args, config: RunConfig, run: _Run) -> None:
-    run.record_input(args.inp)
+    ds = run.read_dataset(args.inp)
     run.record_input(args.model)
-    ds = _load_dataset(args.inp)
     out = Path(args.out)
     model = load_model(args.model)
     thr = args.threshold if args.threshold is not None else config.pipeline.cloud_filter_threshold
@@ -271,17 +259,14 @@ def _cmd_cloudfilter(args, config: RunConfig, run: _Run) -> None:
         "n_present_steps": int(np.sum(~np.isnan(ndvi))),
         "n_flagged_steps": int(flagged.sum()),
     }
-    write_json(out / "cloudfilter_report.json", report)
-    run.wrote(out / "cloudfilter_report.json")
+    run.write_json(out / "cloudfilter_report.json", report)
     run.finish(out / "manifest.json")
 
 
 def _cmd_detect(args, config: RunConfig, run: _Run) -> None:
-    run.record_input(args.inp)
-    ds = _load_dataset(args.inp)
+    ds = run.read_dataset(args.inp)
     out = Path(args.out)
-    algo = args.algo or config.pipeline.algorithm
-    fill = args.fill or config.pipeline.fill_method
+    algo, fill = config.pipeline.algorithm, config.pipeline.fill_method
     model = _fill_model(args, fill, run)
     dnn_model = None
     if algo == "dnn":
@@ -308,8 +293,8 @@ def _cmd_detect(args, config: RunConfig, run: _Run) -> None:
 
 def _read_truth_events(path) -> dict[int, tuple[int, ...]]:
     """Accept either a labels file or an events file as ground truth."""
-    with open(path, newline="") as fh:
-        _, header = next(_csv_rows(path, csv.reader(fh)), (1, None))
+    with _csv_file(path) as rows:
+        _, header = next(rows, (1, None))
     if header is not None and tuple(header) == EVENTS_HEADER:
         return {pid: es.doys for pid, es in read_events(path).items()}
     if header is not None and tuple(header) == LABELS_HEADER:
@@ -337,62 +322,46 @@ def _cmd_eval(args, config: RunConfig, run: _Run) -> None:
     run.finish(out / "manifest.json")
 
 
+def _scores(m: MatchResult) -> dict:
+    recall, precision, f1 = prf(m)
+    return {"tp": m.true_positive, "fp": m.false_positive, "fn": m.false_negative,
+            "recall": recall, "precision": precision, "f1": f1}
+
+
 def _eval_events(args, config: RunConfig, run: _Run, out: Path) -> None:
     run.record_input(args.pred)
     run.record_input(args.truth)
-    tol = args.tolerance if args.tolerance is not None else config.pipeline.tolerance_days
+    tol = config.pipeline.tolerance_days
     preds = {pid: es.doys for pid, es in read_events(args.pred).items()}
     truths = _read_truth_events(args.truth)
     parcels = sorted(set(preds) | set(truths))
-    per_parcel = {}
-    results = {}
-    for pid in parcels:
-        m = match_events(preds.get(pid, ()), truths.get(pid, ()), tol)
-        results[pid] = m
-        recall, precision, f1 = prf(m)
-        per_parcel[str(pid)] = {
-            "tp": m.true_positive, "fp": m.false_positive, "fn": m.false_negative,
-            "recall": recall, "precision": precision, "f1": f1,
-        }
-    total = sum(results.values(), MatchResult(0, 0, 0))
-    recall, precision, f1 = prf(total)
+    results = {pid: match_events(preds.get(pid, ()), truths.get(pid, ()), tol) for pid in parcels}
+    per_parcel = {str(pid): _scores(m) for pid, m in results.items()}
     report = {
         "mode": "events",
         "tolerance_days": tol,
         "n_parcels": len(parcels),
-        "overall": {
-            "tp": total.true_positive, "fp": total.false_positive, "fn": total.false_negative,
-            "recall": recall, "precision": precision, "f1": f1,
-        },
+        "overall": _scores(sum(results.values(), MatchResult(0, 0, 0))),
         "per_parcel": per_parcel,
     }
-    rows = [["parcel", pid, r["tp"], r["fp"], r["fn"], r["f1"]] for pid, r in sorted(
-        per_parcel.items(), key=lambda kv: int(kv[0]))]
+    rows = [["parcel", pid, r["tp"], r["fp"], r["fn"], r["f1"]] for pid, r in per_parcel.items()]
     if args.inp is not None:
-        run.record_input(args.inp)
-        ds = _load_dataset(args.inp)
-        coverages = _parcel_cloud_coverage(ds)
+        coverages = _parcel_cloud_coverage(run.read_dataset(args.inp))
         missing = [p for p in parcels if p not in coverages]
         if missing:
             raise ValueError(f"parcels absent from the coverage dataset: {missing[:5]}")
         binned = binned_report(results, coverages)
-        report["bins"] = {
-            "mu": binned.bins.mu,
-            "sigma": binned.bins.sigma,
-            "rows": [dataclasses.asdict(r) for r in binned.rows],
-        }
+        report["bins"] = {**jsonable(binned.bins), "rows": binned.rows}
         rows += [["bin", r.bin_index, r.true_positive, r.false_positive, r.false_negative, r.f1]
                  for r in binned.rows]
-    write_json(out / "report.json", report)
+    run.write_json(out / "report.json", report)
     write_table_csv(out / "report.csv", ("kind", "key", "tp", "fp", "fn", "f1"), rows)
-    run.wrote(out / "report.json", out / "report.csv")
+    run.wrote(out / "report.csv")
 
 
 def _eval_series(args, config: RunConfig, run: _Run, out: Path) -> None:
-    run.record_input(args.pred)
-    run.record_input(args.truth)
-    pred_ds = _load_dataset(args.pred)
-    truth_ds = _load_dataset(args.truth)
+    pred_ds = run.read_dataset(args.pred)
+    truth_ds = run.read_dataset(args.truth)
     # datasets read from files hold their pixels in ascending id order
     ids, pred, truth = pred_ds.pixel_ids, pred_ds.ndvi, truth_ds.ndvi
     if not np.array_equal(ids, truth_ds.pixel_ids):
@@ -400,8 +369,7 @@ def _eval_series(args, config: RunConfig, run: _Run, out: Path) -> None:
     if args.selector == "masked":
         if args.input is None:
             raise ValueError("--selector masked needs --input (the gappy dataset that was filled)")
-        run.record_input(args.input)
-        input_ds = _load_dataset(args.input)
+        input_ds = run.read_dataset(args.input)
         if not np.array_equal(input_ds.pixel_ids, ids):
             raise ValueError("--input dataset covers different pixels")
         select = np.isnan(input_ds.ndvi) & ~np.isnan(truth) & ~np.isnan(pred)
@@ -415,13 +383,10 @@ def _eval_series(args, config: RunConfig, run: _Run, out: Path) -> None:
         "mae": mae(np.nan_to_num(pred), np.nan_to_num(truth), select),
         "r_squared": r_squared(np.nan_to_num(pred), np.nan_to_num(truth), select),
     }
-    write_json(out / "report.json", report)
-    write_table_csv(
-        out / "report.csv",
-        ("selector", "n_selected", "mae", "r_squared"),
-        [[args.selector, report["n_selected"], report["mae"], report["r_squared"]]],
-    )
-    run.wrote(out / "report.json", out / "report.csv")
+    run.write_json(out / "report.json", report)
+    header = ("selector", "n_selected", "mae", "r_squared")
+    write_table_csv(out / "report.csv", header, [[report[k] for k in header]])
+    run.wrote(out / "report.csv")
 
 
 def _parse_subsets(text: str) -> tuple[tuple[str, ...], ...]:
@@ -440,10 +405,14 @@ DEFAULT_ABLATION_SUBSETS = "ndvi+sigma0+coherence,ndvi+sigma0,ndvi+coherence,sig
 def _cmd_experiment(args, config: RunConfig, run: _Run) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    run.record_input(args.inp)
-    ds = _load_dataset(args.inp)
+    ds = run.read_dataset(args.inp)
+    if args.kind != "hidden":
+        if args.masks is None:
+            raise ValueError(f"the {args.kind} experiment needs --masks")
+        run.record_input(args.masks)
+        pools = read_mask_pools(args.masks)
     if args.kind == "hidden":
-        fill = args.fill or config.pipeline.fill_method
+        fill = config.pipeline.fill_method
         rep = hidden_event_experiment(
             ds, fill, _fill_model(args, fill, run),
             detector=config.pipeline.algorithm if config.pipeline.algorithm in ("mda1", "mda2") else "mda1",
@@ -452,56 +421,18 @@ def _cmd_experiment(args, config: RunConfig, run: _Run) -> None:
             mda1_params=config.mda1,
             mda2_params=config.mda2,
         )
-        metrics = {
-            "experiment": "hidden",
-            "fill_method": rep.fill_method,
-            "seed": rep.seed,
-            "n_parcels": rep.n_parcels,
-            "recall": rep.recall,
-            "precision": rep.precision,
-            "f1": rep.f1,
-            "tolerance_recall": list(rep.tolerance_recall),
-            "records": [
-                {
-                    "parcel_id": r.parcel_id,
-                    "event_doy": r.event_doy,
-                    "gap_start_step": r.gap_start_step,
-                    "gap_length": r.gap_length,
-                    "detected_doys": list(r.detected_doys),
-                }
-                for r in rep.records
-            ],
-        }
         rows = [[t, rec] for t, rec in enumerate(rep.tolerance_recall)]
         header = ("tolerance_days", "recall")
     elif args.kind == "ablation":
-        if args.masks is None:
-            raise ValueError("the ablation experiment needs --masks")
-        run.record_input(args.masks)
-        pools = read_mask_pools(args.masks)
         subsets = _parse_subsets(args.subsets or DEFAULT_ABLATION_SUBSETS)
         rep = ablation_experiment(
             ds, pools, subsets, config.train,
             test_fraction=config.pipeline.test_fraction,
             outlier=config.outlier, density=config.density,
         )
-        metrics = {
-            "experiment": "ablation",
-            "seed": rep.seed,
-            "n_eval_pixels": rep.n_eval_pixels,
-            "rows": [
-                {"groups": list(r.groups), "channels": list(r.channels),
-                 "mean_mae": r.mean_mae, "r2": r.r2}
-                for r in rep.rows
-            ],
-        }
         rows = [["+".join(r.groups), r.mean_mae, r.r2] for r in rep.rows]
         header = ("subset", "mean_mae", "r2")
     else:
-        if args.masks is None:
-            raise ValueError("the generalization experiment needs --masks")
-        run.record_input(args.masks)
-        pools = read_mask_pools(args.masks)
         regions = np.unique(ds.pixel_region_ids).tolist()
         if args.eval_regions:
             eval_regions = tuple(int(r) for r in args.eval_regions.split(","))
@@ -518,22 +449,12 @@ def _cmd_experiment(args, config: RunConfig, run: _Run) -> None:
             ds, pools, subsets, eval_regions, config.train,
             outlier=config.outlier, density=config.density,
         )
-        metrics = {
-            "experiment": "generalization",
-            "seed": rep.seed,
-            "eval_regions": list(rep.eval_regions),
-            "rows": [
-                {"train_regions": list(r.train_regions), "n_regions": r.n_regions,
-                 "n_train_pixels": r.n_train_pixels, "mean_mae": r.mean_mae}
-                for r in rep.rows
-            ],
-        }
         rows = [["+".join(str(x) for x in r.train_regions), r.n_regions, r.n_train_pixels, r.mean_mae]
                 for r in rep.rows]
         header = ("train_regions", "n_regions", "n_train_pixels", "mean_mae")
-    write_json(out / "metrics.json", metrics)
+    run.write_json(out / "metrics.json", {"experiment": args.kind, **jsonable(rep)})
     write_table_csv(out / "report.csv", header, rows)
-    run.wrote(out / "metrics.json", out / "report.csv")
+    run.wrote(out / "report.csv")
     run.finish(out / "manifest.json")
 
 
@@ -647,31 +568,31 @@ _HANDLERS = {
 }
 
 
+# command -> {flag destination: (config section, key)}: the flags that
+# override the configuration
+_OVERRIDES = {
+    "synth": {"parcels": ("synth", "n_parcels"), "pixels_per_parcel": ("synth", "pixels_per_parcel"),
+              "regions": ("synth", "n_regions"), "seed": ("synth", "seed"),
+              "cirrus_rate": ("synth", "cirrus_rate")},
+    "mask": {"seed": ("pipeline", "seed")},
+    "train": {"seed": ("train", "seed"), "epochs": ("train", "max_epochs"), "fill": ("pipeline", "fill_method")},
+    "detect": {"algo": ("pipeline", "algorithm"), "fill": ("pipeline", "fill_method")},
+    "eval": {"tolerance": ("pipeline", "tolerance_days")},
+    "experiment": {"seed": ("pipeline", "seed"), "fill": ("pipeline", "fill_method")},
+}
+
+
 def _resolve_config(args) -> RunConfig:
+    """The replayed manifest's configuration, or else the one `load_config`
+    gives, with the command's flags (`_OVERRIDES`) applied on top."""
     if getattr(args, "from_manifest", None):
-        manifest = read_manifest(args.from_manifest)
-        return RunConfig.from_dict(manifest["config"])
-    config = load_config(getattr(args, "config", None))
-    cmd = args.command
-    if cmd == "synth":
-        config = _override(
-            config, "synth",
-            n_parcels=args.parcels,
-            pixels_per_parcel=args.pixels_per_parcel,
-            n_regions=args.regions,
-            seed=args.seed,
-            cirrus_rate=args.cirrus_rate,
-        )
-    elif cmd == "train":
-        config = _override(config, "train", seed=args.seed, max_epochs=args.epochs)
-    elif cmd in ("mask", "experiment"):
-        config = _override(config, "pipeline", seed=getattr(args, "seed", None))
-    if getattr(args, "fill", None):
-        config = _override(config, "pipeline", fill_method=args.fill)
-    if getattr(args, "algo", None):
-        config = _override(config, "pipeline", algorithm=args.algo)
-    if getattr(args, "tolerance", None) is not None:
-        config = _override(config, "pipeline", tolerance_days=args.tolerance)
+        config = RunConfig.from_dict(read_manifest(args.from_manifest)["config"])
+    else:
+        config = load_config(args.config)
+    for dest, (section, key) in _OVERRIDES.get(args.command, {}).items():
+        value = getattr(args, dest)
+        if value is not None:
+            config = config.replace_section(section, **{key: value})
     return config
 
 

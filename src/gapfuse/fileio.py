@@ -40,7 +40,7 @@ import operator
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -131,15 +131,17 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _cell(raw: str) -> str:
+    """A cell as an error message quotes it: its repr, cut to 40 characters
+    and followed by its length when it is longer."""
+    return repr(raw) if len(raw) <= 40 else f"{raw[:40]!r}... ({len(raw)} characters)"
 
 
 def _parse_int(path, row: int, column: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise FileFormatError(path, f"not an integer: {raw!r}", row, column) from None
+        raise FileFormatError(path, f"not an integer: {_cell(raw)}", row, column) from None
 
 
 def _parse_doy(path, row: int, raw: str) -> int:
@@ -155,16 +157,34 @@ def _parse_float(path, row: int, column: str, raw: str) -> float:
     try:
         v = float(raw)
     except ValueError:
-        raise FileFormatError(path, f"not a number: {raw!r}", row, column) from None
+        raise FileFormatError(path, f"not a number: {_cell(raw)}", row, column) from None
     if not np.isfinite(v):
-        raise FileFormatError(path, f"non-finite value: {raw!r}", row, column)
+        raise FileFormatError(path, f"non-finite value: {_cell(raw)}", row, column)
     return v
 
 
+# CSV text is read as UTF-8 with each byte that is not UTF-8 kept as a lone
+# surrogate, so that `_non_utf8` finds the row that holds it
+_CSV_TEXT = dict(encoding="utf-8", errors="surrogateescape", newline="")
+
+
+def _non_utf8(rows: list[list[str]]) -> tuple[int, str] | None:
+    """(index, error message) of the first of `rows`, read as `_CSV_TEXT`,
+    that holds a byte that is not UTF-8; None when every byte is."""
+    if "".join(itertools.chain.from_iterable(rows)).isascii():
+        return None
+    for k, row in enumerate(rows):
+        try:
+            "".join(row).encode("utf-8")
+        except UnicodeEncodeError as e:
+            return k, f"not UTF-8 text: byte {ord(e.object[e.start]) - 0xdc00:#04x}"
+    return None
+
+
 def _csv_rows(path, reader):
-    """(row number, fields) for each row of a `csv.reader`; a tokenizer
-    error (such as a field past the module's size limit) is a
-    `FileFormatError` at its row."""
+    """(row number, fields) for each row of a `csv.reader` of `_CSV_TEXT`; a
+    tokenizer error (such as a field past the module's size limit) or a
+    byte that is not UTF-8 is a `FileFormatError` at its row."""
     for rownum in itertools.count(1):
         try:
             row = next(reader)
@@ -172,7 +192,17 @@ def _csv_rows(path, reader):
             return
         except csv.Error as e:
             raise FileFormatError(path, f"unreadable CSV: {e}", rownum) from e
+        bad = _non_utf8([row])
+        if bad is not None:
+            raise FileFormatError(path, bad[1], rownum)
         yield rownum, row
+
+
+@contextlib.contextmanager
+def _csv_file(path):
+    """The `_csv_rows` of the CSV file `path`."""
+    with open(path, **_CSV_TEXT) as fh:
+        yield _csv_rows(path, csv.reader(fh))
 
 
 def _check_header(path, got: list[str] | None, want: tuple[str, ...]) -> None:
@@ -239,17 +269,18 @@ def write_dataset(dataset: Dataset, path) -> None:
             ids = zip(*(col[rows].tolist() for col in
                         (dataset.pixel_ids, dataset.pixel_parcel_ids, dataset.pixel_region_ids)))
             fh.write(_dataset_rows((list(ids), dataset.ndvi[rows], dataset.sar[rows][:, :, raw]), step_cells))
+    write_table_csv(path / LABELS_FILE, LABELS_HEADER, _label_rows(dataset.labels))
 
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(LABELS_HEADER)
-    for pid in sorted(dataset.labels):
-        doys = dataset.labels[pid].event_doys
+
+def _label_rows(labels: Mapping[int, ParcelLabel]):
+    """labels.csv rows by (parcel, doy); a parcel labeled unmown gets one
+    row with an empty doy."""
+    for pid in sorted(labels):
+        doys = labels[pid].event_doys
         if not doys:
-            w.writerow([pid, ""])
+            yield pid, ""
         for d in doys:
-            w.writerow([pid, d])
-    atomic_write_text(path / LABELS_FILE, buf.getvalue())
+            yield pid, d
 
 
 def _infer_grid(path, steps: list[int], doys: list[int]) -> TemporalGrid:
@@ -389,7 +420,7 @@ def _read_dataset_columns(csv_path, fh):
     reader = iter(())
     if offset is not None:
         fh.seek(offset)
-        reader = csv.reader(io.TextIOWrapper(fh, newline=""))
+        reader = csv.reader(io.TextIOWrapper(fh, **_CSV_TEXT))
     if offset == 0:
         _, header = next(_csv_rows(csv_path, reader), (1, None))
         _check_header(csv_path, header, DATASET_HEADER)
@@ -406,6 +437,10 @@ def _read_dataset_columns(csv_path, fh):
             k = int(wrong[0])
             stop = FileFormatError(csv_path, f"expected {width} fields, got {len(rows[k])}", n + k + 2)
             del rows[k:]
+        bad = _non_utf8(rows)
+        if bad is not None:
+            stop = FileFormatError(csv_path, bad[1], n + bad[0] + 2)
+            del rows[bad[0]:]
         if not rows:
             break
         cells = list(zip(*rows))
@@ -520,8 +555,7 @@ def read_dataset(path) -> Dataset:
 def read_labels(path) -> dict[int, ParcelLabel]:
     path = Path(path)
     doys: dict[int, list[int]] = {}
-    with open(path, newline="") as fh:
-        rows = _csv_rows(path, csv.reader(fh))
+    with _csv_file(path) as rows:
         _, header = next(rows, (1, None))
         _check_header(path, header, LABELS_HEADER)
         for rownum, row in rows:
@@ -540,18 +574,14 @@ def write_mask_pools(pools: Mapping[int, MaskPool], path) -> None:
     if not all_masks:
         raise ValueError("no masks to write")
     t = all_masks[0].bits.shape[0]
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["mask_id", "region_id"] + [f"bit_{i}" for i in range(t)])
-    for m in sorted(all_masks, key=lambda m: m.mask_id):
-        w.writerow([m.mask_id, m.region_id] + [int(b) for b in m.bits])
-    atomic_write_text(path, buf.getvalue())
+    write_table_csv(path, ["mask_id", "region_id"] + [f"bit_{i}" for i in range(t)],
+                    ([m.mask_id, m.region_id, *m.bits.astype(int).tolist()]
+                     for m in sorted(all_masks, key=lambda m: m.mask_id)))
 
 
 def read_mask_pools(path) -> dict[int, MaskPool]:
     path = Path(path)
-    with open(path, newline="") as fh:
-        rows = _csv_rows(path, csv.reader(fh))
+    with _csv_file(path) as rows:
         _, header = next(rows, (1, None))
         if header is None or len(header) < 3 or header[:2] != ["mask_id", "region_id"]:
             raise FileFormatError(path, f"bad header {header!r}", row=1)
@@ -571,7 +601,7 @@ def read_mask_pools(path) -> dict[int, MaskPool]:
             bits = np.empty(t, dtype=bool)
             for i, raw in enumerate(row[2:]):
                 if raw not in ("0", "1"):
-                    raise FileFormatError(path, f"bit must be 0 or 1, got {raw!r}", rownum, f"bit_{i}")
+                    raise FileFormatError(path, f"bit must be 0 or 1, got {_cell(raw)}", rownum, f"bit_{i}")
                 bits[i] = raw == "1"
             by_region.setdefault(region, []).append(CloudMask(mid, region, bits))
     if not by_region:
@@ -582,22 +612,21 @@ def read_mask_pools(path) -> dict[int, MaskPool]:
 def write_events(events: Iterable[EventSet], path) -> None:
     """One row per event; parcels with none get a single empty row so the
     evaluated-but-unmown population survives the round trip."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(EVENTS_HEADER)
+    write_table_csv(path, EVENTS_HEADER, _event_rows(events))
+
+
+def _event_rows(events: Iterable[EventSet]):
     for es in sorted(events, key=lambda e: e.parcel_id):
         if not es.events:
-            w.writerow([es.parcel_id, "", ""])
+            yield es.parcel_id, "", ""
         for ev in es.events:
-            w.writerow([es.parcel_id, ev.doy, _fmt(ev.score)])
-    atomic_write_text(path, buf.getvalue())
+            yield es.parcel_id, ev.doy, float(ev.score)
 
 
 def read_events(path) -> dict[int, EventSet]:
     path = Path(path)
     collected: dict[int, list[Event]] = {}
-    with open(path, newline="") as fh:
-        rows = _csv_rows(path, csv.reader(fh))
+    with _csv_file(path) as rows:
         _, header = next(rows, (1, None))
         _check_header(path, header, EVENTS_HEADER)
         for rownum, row in rows:
@@ -628,25 +657,7 @@ def save_model(model: SfModel, path) -> None:
     header = {
         "format_version": 1,
         "dtype": "<f4",
-        "arch": {
-            "channels": list(model.arch.channels),
-            "conv_filters": list(model.arch.conv_filters),
-            "kernel": model.arch.kernel,
-            "pool": model.arch.pool,
-            "branch_dense": list(model.arch.branch_dense),
-            "lstm_hidden": model.arch.lstm_hidden,
-            "head": model.arch.head,
-        },
-        "stats": {
-            "channels": list(model.stats.channels),
-            "mean": model.stats.mean.tolist(),
-            "sd": model.stats.sd.tolist(),
-        },
-        "grid": {
-            "start_doy": model.grid.start_doy,
-            "step_days": model.grid.step_days,
-            "length": model.grid.length,
-        },
+        **jsonable({"arch": model.arch, "stats": model.stats, "grid": model.grid}),
         "params": entries,
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
@@ -759,14 +770,7 @@ class RunConfig:
     pipeline: PipelineParams = PipelineParams()
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for name in _SECTIONS:
-            section = getattr(self, name)
-            sec: dict[str, Any] = {}
-            for f in fields(section):
-                sec[f.name] = _to_jsonable(getattr(section, f.name))
-            out[name] = sec
-        return out
+        return jsonable(self)
 
     @staticmethod
     def from_dict(d: Mapping[str, Any]) -> "RunConfig":
@@ -784,15 +788,18 @@ class RunConfig:
         return dataclasses.replace(self, **{name: section})
 
 
-def _to_jsonable(v: Any) -> Any:
-    if isinstance(v, TemporalGrid):
-        return {"start_doy": v.start_doy, "step_days": v.step_days, "length": v.length}
-    if isinstance(v, tuple):
-        return [_to_jsonable(x) for x in v]
+def jsonable(v: Any) -> Any:
+    """`v` as plain JSON values: a dataclass as an object of its fields by
+    name, a tuple or list as a list, a mapping as an object with `str` keys,
+    a numpy array or scalar as its `tolist()`; anything else as it is."""
+    if dataclasses.is_dataclass(v) and not isinstance(v, type):
+        return {f.name: jsonable(getattr(v, f.name)) for f in fields(v)}
+    if isinstance(v, (tuple, list)):
+        return [jsonable(x) for x in v]
     if isinstance(v, Mapping):
-        return {str(k): _to_jsonable(x) for k, x in v.items()}
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
+        return {str(k): jsonable(x) for k, x in v.items()}
+    if isinstance(v, (np.ndarray, np.generic)):
+        return v.tolist()
     return v
 
 
@@ -810,13 +817,15 @@ def _coerce(value: Any, typestr: str, where: str) -> Any:
             raise ValueError(f"{where}: expected an object")
         return {int(k): float(v) for k, v in value.items()}
     if t.startswith("tuple["):
-        if isinstance(value, str) or not isinstance(value, Iterable):
+        if isinstance(value, (str, Mapping)) or not isinstance(value, Iterable):
             raise ValueError(f"{where}: expected a list")
-        inner = t[len("tuple["):-1].split(",")[0]
-        elem = {"int": int, "float": float, "str": str}.get(inner)
-        if elem is None:
-            raise ValueError(f"{where}: unsupported tuple element type {inner!r}")
-        return tuple(elem(x) for x in value)
+        value = list(value)
+        kinds = t[len("tuple["):-1].split(",")
+        if kinds[-1] == "...":
+            kinds = kinds[:1] * len(value)
+        elif len(value) != len(kinds):
+            raise ValueError(f"{where}: expected a list of {len(kinds)} values, got {len(value)}")
+        return tuple(_coerce(x, kind, where) for kind, x in zip(kinds, value))
     if t == "bool":
         if isinstance(value, bool):
             return value
@@ -879,9 +888,6 @@ def load_config(path=None, env: Mapping[str, str] | None = None) -> RunConfig:
         data = read_json(path)
         if not isinstance(data, dict):
             raise FileFormatError(path, "config must be a JSON object")
-        unknown = set(data) - set(_SECTIONS)
-        if unknown:
-            raise ValueError(f"unknown config sections {sorted(unknown)}")
         for sec, vals in data.items():
             if not isinstance(vals, Mapping):
                 raise ValueError(f"config section {sec!r} must be an object")
@@ -914,8 +920,9 @@ def hash_tree(path) -> dict[str, str]:
 
 
 def write_json(path, obj: Any) -> None:
-    """Canonical JSON: sorted keys, 2-space indent, trailing newline."""
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """`jsonable(obj)` as canonical JSON: sorted keys, 2-space indent,
+    trailing newline."""
+    atomic_write_text(path, json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n")
 
 
 def read_json(path) -> Any:
@@ -923,12 +930,14 @@ def read_json(path) -> Any:
 
 
 def write_table_csv(path, header: Iterable[str], rows: Iterable[Iterable[Any]]) -> None:
-    """Plot-ready companion table for a JSON report."""
+    """Write a CSV table, the header row then `rows`, with floats written by
+    repr so that they read back bit-exactly.  Every CSV file but dataset.csv
+    is written here: labels, masks, events and the CLI's report tables."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(list(header))
+    w.writerow(header)
     for row in rows:
-        w.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+        w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
     atomic_write_text(path, buf.getvalue())
 
 

@@ -126,6 +126,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "unreadable CSV" in err and row in err
 
+    @pytest.mark.parametrize("bad_file", ["labels", "dataset"])
+    def test_non_utf8_csv_exits_two_naming_file_and_row(self, ws, events, tmp_path, capsys, bad_file):
+        """A byte that is not UTF-8 is bad input named by its file and row."""
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        for name in ("dataset.csv", "labels.csv"):
+            (ds / name).write_bytes((ws["ds"] / name).read_bytes())
+        bad = ds / f"{bad_file}.csv"
+        lines = bad.read_bytes().split(b"\n")
+        lines[3] = lines[3][:3] + b"\xff" + lines[3][3:]
+        bad.write_bytes(b"\n".join(lines))
+        if bad_file == "labels":
+            argv = ["eval", "--pred", str(events), "--truth", str(bad), "--out", str(tmp_path / "o")]
+        else:
+            argv = ["preprocess", "--in", str(ds), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert f"{bad}, row 4: not UTF-8 text: byte 0xff" in capsys.readouterr().err
+
     def test_model_header_larger_than_its_file_exits_two(self, ws, tmp_path, capsys, monkeypatch):
         """The sizes are checked before the network is built: building it
         from this header would need hundreds of GiB."""
@@ -245,25 +263,34 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("source", ["env", "config", "manifest"])
     @pytest.mark.parametrize("key, raw, message", [
-        ("seed", "NaN", "train.seed: cannot take nan: cannot convert float NaN to integer"),
-        ("seed", "abc", "train.seed: cannot take 'abc': invalid literal for int()"),
-        ("learning_rate", "fast", "train.learning_rate: cannot take 'fast': could not convert"),
-        ("seed", "1.5", "train.seed: expected an integer, got 1.5"),
+        ("train.seed", "NaN", "train.seed: cannot take nan: cannot convert float NaN to integer"),
+        ("train.seed", "abc", "train.seed: cannot take 'abc': invalid literal for int()"),
+        ("train.learning_rate", "fast", "train.learning_rate: cannot take 'fast': could not convert"),
+        ("train.seed", "1.5", "train.seed: expected an integer, got 1.5"),
+        ("synth.drop_depth", "[0.3]", "synth.drop_depth: expected a list of 2 values, got 1"),
+        ("synth.drop_depth", "[0.3, 0.4, 0.5]", "synth.drop_depth: expected a list of 2 values, got 3"),
+        ("density.summer_window", "[150]", "density.summer_window: expected a list of 2 values, got 1"),
+        ("synth.drop_depth", '{"0.3": 1, "0.4": 2}', "synth.drop_depth: expected a list"),
+        ("density.summer_window", "[150.5, 200]", "density.summer_window: expected an integer, got 150.5"),
     ])
     def test_unconvertible_config_value_exits_two_naming_the_key(
             self, ws, tmp_path, capsys, monkeypatch, source, key, raw, message):
         """The key is named once, wherever the value comes from."""
-        value = json.loads(raw) if raw in ("NaN", "1.5") else raw
+        section, name = key.split(".")
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
         argv = ["synth", "--out", str(tmp_path / "o")]
         if source == "env":
-            monkeypatch.setenv(f"GAPFUSE_TRAIN_{key.upper()}", raw)
+            monkeypatch.setenv(f"GAPFUSE_{section.upper()}_{name.upper()}", raw)
         elif source == "config":
             config = tmp_path / "config.json"
-            config.write_text(json.dumps({"train": {key: value}}))
+            config.write_text(json.dumps({section: {name: value}}))
             argv += ["--config", str(config)]
         else:
             m = read_json(ws["ds"] / "manifest.json")
-            m["config"]["train"][key] = value
+            m["config"][section][name] = value
             manifest = tmp_path / "manifest.json"
             manifest.write_text(json.dumps(m))
             argv = ["experiment", "hidden", "--in", str(ws["ds"]), "--out", str(tmp_path / "o"),
@@ -271,7 +298,7 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert message in err
-        assert err.count(f"train.{key}") == 1
+        assert err.count(key) == 1
 
     @pytest.mark.parametrize("source", ["model_header", "config", "manifest", "env"])
     def test_deeply_nested_json_exits_two_naming_the_source(self, ws, tmp_path, capsys, monkeypatch, source):
@@ -646,6 +673,21 @@ class TestExperimentAndReplay:
         ]) == 0
         assert (out1 / "metrics.json").read_bytes() == (out2 / "metrics.json").read_bytes()
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+
+    def test_replay_with_flags_records_what_it_ran(self, ws, tmp_path):
+        """Flags given to a replay override the replayed configuration and are
+        recorded in its manifest, so a replay of that manifest reproduces its
+        metric files byte for byte."""
+        runs = [tmp_path / f"x{k}" for k in range(3)]
+        common = ["experiment", "hidden", "--in", str(ws["ds"])]
+        assert main(common + ["--out", str(runs[0]), "--fill", "linear", "--seed", "5"]) == 0
+        assert main(common + ["--out", str(runs[1]), "--fill", "akima", "--seed", "6",
+                              "--from-manifest", str(runs[0] / "manifest.json")]) == 0
+        assert main(common + ["--out", str(runs[2]), "--from-manifest", str(runs[1] / "manifest.json")]) == 0
+        metrics = read_json(runs[1] / "metrics.json")
+        assert (metrics["fill_method"], metrics["seed"]) == ("akima", 6)
+        for name in ("metrics.json", "report.csv"):
+            assert (runs[1] / name).read_bytes() == (runs[2] / name).read_bytes()
 
     def test_ablation_tiny(self, ws, tmp_path):
         out = tmp_path / "abl"

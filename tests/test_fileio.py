@@ -41,6 +41,8 @@ from gapfuse.fileio import (
     sha256_file,
     write_json,
 )
+from gapfuse.cli import main
+from gapfuse.sfmodel import NormStats, SfArchitecture, SfModel, SfNet
 from tests.test_core import dataset_of
 
 
@@ -179,6 +181,59 @@ class TestDatasetFormat:
         assert [px.pixel_id for px in again.pixels] == [2, 7]
         assert again.pixels[1].ndvi.tobytes() == np.array([np.nan, -0.0]).tobytes()
 
+    def test_model_header_golden_bytes(self, tmp_path):
+        """The exact JSON header line of a tiny model file: sorted keys, no
+        spaces, the architecture, stats and grid by field name, then one
+        entry per parameter blob."""
+        arch = SfArchitecture(channels=("ndvi", "coh_vv"), conv_filters=(2, 2), branch_dense=(2, 2), lstm_hidden=2)
+        grid = TemporalGrid(start_doy=100, step_days=6, length=4)
+        stats = NormStats(("coh_vv",), np.array([0.1]), np.array([1e-05]))
+        save_model(SfModel(arch, stats, grid, SfNet(arch, np.random.default_rng(0))), tmp_path / "m.gfm")
+        params = []
+        offset = 0
+        for name, shape in [
+            ("ndvi.conv1.w", [3, 2, 2]), ("ndvi.conv1.b", [2]), ("ndvi.conv2.w", [3, 2, 2]), ("ndvi.conv2.b", [2]),
+            ("ndvi.dense1.w", [2, 2]), ("ndvi.dense1.b", [2]), ("ndvi.dense2.w", [2, 2]), ("ndvi.dense2.b", [2]),
+            ("coh_vv.conv1.w", [3, 1, 2]), ("coh_vv.conv1.b", [2]), ("coh_vv.conv2.w", [3, 2, 2]),
+            ("coh_vv.conv2.b", [2]), ("coh_vv.dense1.w", [2, 2]), ("coh_vv.dense1.b", [2]),
+            ("coh_vv.dense2.w", [2, 2]), ("coh_vv.dense2.b", [2]),
+            ("enc.fwd.w", [6, 8]), ("enc.fwd.b", [8]), ("enc.bwd.w", [6, 8]), ("enc.bwd.b", [8]),
+            ("dec.fwd.w", [6, 8]), ("dec.fwd.b", [8]), ("dec.bwd.w", [6, 8]), ("dec.bwd.b", [8]),
+            ("head.w", [4, 1]), ("head.b", [1]),
+        ]:
+            nbytes = 4 * int(np.prod(shape))
+            params.append(f'{{"name":"{name}","nbytes":{nbytes},"offset":{offset},"shape":{shape}}}'.replace(" ", ""))
+            offset += nbytes
+        assert (tmp_path / "m.gfm").read_bytes().split(b"\n")[1].decode() == (
+            '{"arch":{"branch_dense":[2,2],"channels":["ndvi","coh_vv"],"conv_filters":[2,2],'
+            '"head":"regression","kernel":3,"lstm_hidden":2,"pool":3},"dtype":"<f4","format_version":1,'
+            '"grid":{"length":4,"start_doy":100,"step_days":6},'
+            f'"params":[{",".join(params)}],'
+            '"stats":{"channels":["coh_vv"],"mean":[0.1],"sd":[1e-05]}}'
+        )
+
+    def test_hidden_experiment_metrics_golden_bytes(self, tmp_path):
+        """The exact metrics.json and report.csv of a small `experiment hidden`
+        run: the report's fields by name under sorted keys, 2-space indent."""
+        (tmp_path / "config.json").write_text(json.dumps({"pipeline": {"tolerance_days": 3, "algorithm": "mda2"}}))
+        assert main(["synth", "--out", str(tmp_path / "s"), "--parcels", "4", "--pixels-per-parcel", "2",
+                     "--regions", "1", "--seed", "3"]) == 0
+        assert main(["experiment", "hidden", "--config", str(tmp_path / "config.json"), "--in", str(tmp_path / "s"),
+                     "--out", str(tmp_path / "x"), "--fill", "quadratic", "--seed", "1"]) == 0
+        record = ('    {{\n      "detected_doys": [{}],\n      "event_doy": {},\n      "gap_length": {},\n'
+                  '      "gap_start_step": {},\n      "parcel_id": {}\n    }}')
+        third = "0.3333333333333333"
+        assert (tmp_path / "x" / "metrics.json").read_text() == (
+            '{\n  "experiment": "hidden",\n  "f1": 0.5,\n  "fill_method": "quadratic",\n  "n_parcels": 3,\n'
+            f'  "precision": 1.0,\n  "recall": {third},\n  "records": [\n'
+            + ",\n".join([record.format("\n        178\n      ", 177, 5, 12, 0), record.format("", 168, 5, 11, 2),
+                          record.format("", 171, 6, 11, 3)])
+            + f'\n  ],\n  "seed": 1,\n  "tolerance_recall": [\n    0.0,\n    {third},\n    {third},\n    {third}\n'
+            '  ]\n}\n'
+        )
+        assert (tmp_path / "x" / "report.csv").read_text() == (
+            f"tolerance_days,recall\n0,0.0\n1,{third}\n2,{third}\n3,{third}\n")
+
     def test_far_off_step_reports_missing_steps(self, tmp_path):
         """A step of 10**12 is diagnosed from the steps present, without
         enumerating every step up to it."""
@@ -287,6 +342,35 @@ class TestEvents:
             with pytest.raises(FileFormatError, match="row 3, column 'event_doy'.*outside the int64 range") as e:
                 reader(p)
             assert e.value.path == str(p)
+
+
+@pytest.mark.parametrize("name, lines, reader, row", [
+    ("labels.csv", [b"parcel_id,event_doy", b"0,130", b"1,1\xff0"], read_labels, 3),
+    ("events.csv", [b"parcel_id,event_doy,score", b"0,1\xff0,0.5"], read_events, 2),
+    ("masks.csv", [b"mask_id,region_id,bit_0", b"0,0,1", b"1,0,\xff"], read_mask_pools, 3),
+    ("dataset.csv", [b",".join(s.encode() for s in DATASET_HEADER), b"0,0,0,0,100,0.5,-12.0,-18.0,0.4,0.3",
+                     b"0,0,0,1,106,0.5,-12.0,-18.0,0.4,0.3", b"1,0,0,0,100,0.\xff5,-12.0,-18.0,0.4,0.3"],
+     lambda p: read_dataset(p.parent), 4),
+    ("dataset.csv", [b"pixel_id,\xff"], lambda p: read_dataset(p.parent), 1),
+], ids=["labels", "events", "masks", "dataset", "dataset_header"])
+def test_non_utf8_byte_names_file_and_row(tmp_path, name, lines, reader, row):
+    """Every CSV reader decodes UTF-8 whatever the locale, and a byte that is
+    not UTF-8 is a format error at the row that holds it."""
+    p = tmp_path / name
+    p.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(FileFormatError, match="not UTF-8 text: byte 0xff") as e:
+        reader(p)
+    assert (e.value.path, e.value.row) == (str(p), row)
+
+
+def test_long_cell_is_cut_in_the_error(tmp_path):
+    """A 100,000-digit cell is quoted by its first 40 characters and its
+    length, not in full."""
+    p = tmp_path / "labels.csv"
+    p.write_text("parcel_id,event_doy\n" + "9" * 100_000 + ",\n")
+    with pytest.raises(FileFormatError) as e:
+        read_labels(p)
+    assert str(e.value) == f"{p}, row 2, column 'parcel_id': not an integer: '{'9' * 40}'... (100000 characters)"
 
 
 class TestModelContainer:

@@ -43,20 +43,28 @@ from tests.test_core import dataset_of
 HEADER = fileio.DATASET_HEADER
 
 
+def _quote(raw):
+    """A rejected cell as the error quotes it: in full up to 40 characters,
+    else its first 40 and its length."""
+    if len(raw) > 40:
+        return f"{raw[:40]!r}... ({len(raw)} characters)"
+    return repr(raw)
+
+
 def _int(path, row, column, raw):
     try:
         return int(raw)
     except ValueError:
-        raise FileFormatError(path, f"not an integer: {raw!r}", row, column) from None
+        raise FileFormatError(path, f"not an integer: {_quote(raw)}", row, column) from None
 
 
 def _float(path, row, column, raw):
     try:
         v = float(raw)
     except ValueError:
-        raise FileFormatError(path, f"not a number: {raw!r}", row, column) from None
+        raise FileFormatError(path, f"not a number: {_quote(raw)}", row, column) from None
     if not np.isfinite(v):
-        raise FileFormatError(path, f"non-finite value: {raw!r}", row, column)
+        raise FileFormatError(path, f"non-finite value: {_quote(raw)}", row, column)
     return v
 
 
