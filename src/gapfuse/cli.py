@@ -227,7 +227,7 @@ def _filled_parcel_series(args, config: RunConfig, ds: Dataset, run: _Run):
 def _cmd_gapfill(args, config: RunConfig, run: _Run) -> None:
     ds = run.read_dataset(args.inp)
     out = Path(args.out)
-    method = args.method or config.pipeline.fill_method
+    method = config.pipeline.fill_method
     if method == "none":
         raise ValueError("gapfill needs a fill method, not 'none'")
     model = _fill_model(args, method, run)
@@ -250,7 +250,7 @@ def _cmd_cloudfilter(args, config: RunConfig, run: _Run) -> None:
     run.record_input(args.model)
     out = Path(args.out)
     model = load_model(args.model)
-    thr = args.threshold if args.threshold is not None else config.pipeline.cloud_filter_threshold
+    thr = config.pipeline.cloud_filter_threshold
     ndvi = ds.ndvi
     _, flagged = fill_batch(ndvi, ds.grid, "sf", model, ds.sar, thr)
     _write_dataset(run, ds.select(ndvi=np.where(flagged, np.nan, ndvi)), out)
@@ -576,6 +576,8 @@ _OVERRIDES = {
               "cirrus_rate": ("synth", "cirrus_rate")},
     "mask": {"seed": ("pipeline", "seed")},
     "train": {"seed": ("train", "seed"), "epochs": ("train", "max_epochs"), "fill": ("pipeline", "fill_method")},
+    "gapfill": {"method": ("pipeline", "fill_method")},
+    "cloudfilter": {"threshold": ("pipeline", "cloud_filter_threshold")},
     "detect": {"algo": ("pipeline", "algorithm"), "fill": ("pipeline", "fill_method")},
     "eval": {"tolerance": ("pipeline", "tolerance_days")},
     "experiment": {"seed": ("pipeline", "seed"), "fill": ("pipeline", "fill_method")},

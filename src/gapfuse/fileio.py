@@ -674,19 +674,13 @@ def load_model(path) -> SfModel:
         body = fh.read()
     if not isinstance(header, dict):
         raise FileFormatError(path, "the header is not a JSON object")
-    if header.get("dtype") != "<f4":
-        raise FileFormatError(path, f"unsupported dtype {header.get('dtype')!r}")
+    for key, want in (("format_version", 1), ("dtype", "<f4")):
+        if header.get(key) != want:
+            raise FileFormatError(path, f"unsupported {key} {header.get(key)!r}")
     try:
-        a = header["arch"]
-        arch = SfArchitecture(
-            channels=tuple(a["channels"]),
-            conv_filters=tuple(a["conv_filters"]),
-            kernel=a["kernel"],
-            pool=a["pool"],
-            branch_dense=tuple(a["branch_dense"]),
-            lstm_hidden=a["lstm_hidden"],
-            head=a["head"],
-        )
+        # each entry read with the config's type rules: a size is an integer
+        arch = SfArchitecture(**{f.name: _coerce(header["arch"][f.name], str(f.type), f"arch.{f.name}")
+                                 for f in fields(SfArchitecture)})
         s = header["stats"]
         stats = NormStats(
             channels=tuple(s["channels"]),
@@ -695,6 +689,9 @@ def load_model(path) -> SfModel:
         )
         g = header["grid"]
         grid = TemporalGrid(start_doy=g["start_doy"], step_days=g["step_days"], length=g["length"])
+        # a pool's forward allocates T + pool - 1 steps; past 2T - 1 a window sees no more
+        if arch.pool > 2 * grid.length + 1:
+            raise ValueError(f"a pool of {arch.pool} steps does not fit the grid's {grid.length} steps")
         # check the sizes against the file before anything is allocated:
         # the header alone may describe a network too large to build
         for entry in header["params"]:
@@ -716,11 +713,11 @@ def load_model(path) -> SfModel:
                 raise ValueError(f"parameter {entry['name']} holds a non-finite value")
             state[entry["name"]] = arr.astype(np.float32)
         net.set_state(state)
+        return SfModel(arch=arch, stats=stats, grid=grid, net=net)
     except KeyError as e:
         raise FileFormatError(path, f"the header lacks the entry {e}") from None
     except (TypeError, ValueError) as e:
         raise FileFormatError(path, f"malformed header entry: {e}") from None
-    return SfModel(arch=arch, stats=stats, grid=grid, net=net)
 
 
 @dataclass(frozen=True)
@@ -861,7 +858,11 @@ def _section_from_dict(cls: type, d: Mapping[str, Any], section: str) -> Any:
             if str(e).startswith(f"{where}:"):
                 raise
             raise ValueError(f"{where}: cannot take {v!r}: {e}") from None
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as e:  # the section's own check of its values together
+        given = ", ".join(f"{section}.{k}={v!r}" for k, v in d.items())
+        raise ValueError(f"config section {section!r}: {e} ({given})") from None
 
 
 ENV_PREFIX = "GAPFUSE_"

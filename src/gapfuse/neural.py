@@ -6,9 +6,11 @@ shift along time one contiguous slab, so layers pass arrays on without
 transposing copies (`Dense` and the elementwise layers take any leading
 axes).  Layers store parameters at 32-bit by default and accumulate
 reductions (losses, metrics) at 64-bit.  Every layer implements forward /
-backward / params, gradients ACCUMULATE into the layer's grad buffers (call
-zero_grads between steps), and the whole toolkit is deterministic given the
-construction rng.
+backward and declares its own parameters (`tensors`) and the layers inside
+it (`children()`); the base `Layer` provides params, zero_grads, astype and
+get_state / set_state over that tree.  Gradients ACCUMULATE into the grad
+buffers (call zero_grads between steps), and the whole toolkit is
+deterministic given the construction rng.
 
 Independent work inside a network (per-channel branches, the two directions
 of a BiLSTM) goes through `run_independent`, which hands part of it to one
@@ -161,9 +163,11 @@ def _shifts(width: int, t: int):
 
 
 class Layer:
-    """Base: stateless by default; subclasses cache what backward needs."""
+    """Base: `tensors` names a layer's own parameters, each with its gradient
+    in `d<name>`, and `children()` the layers inside it in parameter order."""
 
     name = "layer"
+    tensors: tuple[str, ...] = ()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -171,16 +175,47 @@ class Layer:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def params(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
-        """(name, parameter, gradient) triples; gradients accumulate."""
+    def children(self) -> list["Layer"]:
         return []
+
+    def params(self, _out: list | None = None) -> list[tuple[str, np.ndarray, np.ndarray]]:
+        """(name, parameter, gradient) triples, own tensors first, appended to
+        `_out` when it is given; gradients accumulate."""
+        out = [] if _out is None else _out
+        for t in self.tensors:
+            out.append((f"{self.name}.{t}", getattr(self, t), getattr(self, "d" + t)))
+        for child in self.children():
+            child.params(out)
+        return out
 
     def zero_grads(self) -> None:
         for _, _, g in self.params():
             g[...] = 0.0
 
+    def _new_grads(self) -> None:
+        """Zeroed gradient buffers shaped and typed like the own tensors."""
+        for t in self.tensors:
+            setattr(self, "d" + t, np.zeros_like(getattr(self, t)))
+
     def astype(self, dtype) -> "Layer":
+        """Cast the tree's parameters to `dtype`, with new zeroed gradients."""
+        for t in self.tensors:
+            setattr(self, t, getattr(self, t).astype(dtype))
+        self._new_grads()
+        for child in self.children():
+            child.astype(dtype)
         return self
+
+    def get_state(self) -> dict[str, np.ndarray]:
+        return {name: p.copy() for name, p, _ in self.params()}
+
+    def set_state(self, state: dict[str, np.ndarray]) -> None:
+        for name, p, _ in self.params():
+            if name not in state:
+                raise ValueError(f"missing parameter {name}")
+            if state[name].shape != p.shape:
+                raise ValueError(f"shape mismatch for {name}")
+            p[...] = state[name]
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int, dtype):
@@ -191,13 +226,14 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
 class Dense(Layer):
     """Affine map over the channel axis, applied per timestep when 3-D."""
 
+    tensors = ("w", "b")
+
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, name: str = "dense",
                  dtype=DEFAULT_DTYPE):
         self.name = name
         self.w = _glorot(rng, (c_in, c_out), c_in, c_out, dtype)
         self.b = np.zeros(c_out, dtype=dtype)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
+        self._new_grads()
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -213,20 +249,12 @@ class Dense(Layer):
         self.db += _column_sums(dy2)
         return (dy2 @ self.w.T).reshape(*dy.shape[:-1], -1)
 
-    def params(self):
-        return [(f"{self.name}.w", self.w, self.dw), (f"{self.name}.b", self.b, self.db)]
-
-    def astype(self, dtype):
-        self.w = self.w.astype(dtype)
-        self.b = self.b.astype(dtype)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
-        return self
-
 
 class Conv1D(Layer):
     """Same-padded cross-correlation along time, axis 0 of a (T, B, C) input;
     kernel shape (K, C_in, C_out)."""
+
+    tensors = ("w", "b")
 
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator,
                  name: str = "conv", dtype=DEFAULT_DTYPE):
@@ -236,8 +264,7 @@ class Conv1D(Layer):
         self.kernel = kernel
         self.w = _glorot(rng, (kernel, c_in, c_out), kernel * c_in, c_out, dtype)
         self.b = np.zeros(c_out, dtype=dtype)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
+        self._new_grads()
         self._cols: np.ndarray | None = None
         self._xshape: tuple[int, ...] | None = None
 
@@ -272,16 +299,6 @@ class Conv1D(Layer):
         for j, lo, hi, s in _shifts(k, t):
             dx[lo + s:hi + s] += dcols[lo:hi, :, j * c:(j + 1) * c]
         return dx
-
-    def params(self):
-        return [(f"{self.name}.w", self.w, self.dw), (f"{self.name}.b", self.b, self.db)]
-
-    def astype(self, dtype):
-        self.w = self.w.astype(dtype)
-        self.b = self.b.astype(dtype)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
-        return self
 
 
 class MaxPool1D(Layer):
@@ -386,6 +403,8 @@ class LstmCell(Layer):
     recurrence from the last step to the first over the same arrays.
     """
 
+    tensors = ("w", "b")
+
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator,
                  name: str = "lstm", dtype=DEFAULT_DTYPE, reverse: bool = False):
         self.name = name
@@ -397,8 +416,7 @@ class LstmCell(Layer):
         self.w = rng.uniform(-scale, scale, size=(h + input_size, 4 * h)).astype(dtype)
         self.b = np.zeros(4 * h, dtype=dtype)
         self.b[:h] = 1.0
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
+        self._new_grads()
         self._cache: dict | None = None
 
     def _order(self, t: int) -> tuple[range, slice, slice]:
@@ -492,16 +510,6 @@ class LstmCell(Layer):
         self.db += _column_sums(da2)
         return (da2 @ self.w[h:].T).reshape(t, b, -1)
 
-    def params(self):
-        return [(f"{self.name}.w", self.w, self.dw), (f"{self.name}.b", self.b, self.db)]
-
-    def astype(self, dtype):
-        self.w = self.w.astype(dtype)
-        self.b = self.b.astype(dtype)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
-        return self
-
 
 class BiLstm(Layer):
     """A forward and a reverse LSTM over one (T, B, C) input, their outputs
@@ -524,13 +532,8 @@ class BiLstm(Layer):
         dx += dx_reverse
         return dx
 
-    def params(self):
-        return self.fwd.params() + self.bwd.params()
-
-    def astype(self, dtype):
-        self.fwd.astype(dtype)
-        self.bwd.astype(dtype)
-        return self
+    def children(self):
+        return [self.fwd, self.bwd]
 
 
 class Sequential(Layer):
@@ -548,16 +551,8 @@ class Sequential(Layer):
             dy = layer.backward(dy)
         return dy
 
-    def params(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
-
-    def astype(self, dtype):
-        for layer in self.layers:
-            layer.astype(dtype)
-        return self
+    def children(self):
+        return self.layers
 
 
 def weighted_mse(pred: np.ndarray, target: np.ndarray, weights: np.ndarray) -> float:

@@ -245,33 +245,8 @@ class SfNet(Layer):
             run_independent([partial(branch, i) for i in range(n)])
         return dx.transpose(2, 1, 0)
 
-    def params(self):
-        out = []
-        for br in self.branches:
-            out.extend(br.params())
-        out.extend(self.encoder.params())
-        out.extend(self.decoder.params())
-        out.extend(self.head.params())
-        return out
-
-    def astype(self, dtype):
-        for br in self.branches:
-            br.astype(dtype)
-        self.encoder.astype(dtype)
-        self.decoder.astype(dtype)
-        self.head.astype(dtype)
-        return self
-
-    def get_state(self) -> dict[str, np.ndarray]:
-        return {name: p.copy() for name, p, _ in self.params()}
-
-    def set_state(self, state: dict[str, np.ndarray]) -> None:
-        for name, p, _ in self.params():
-            if name not in state:
-                raise ValueError(f"missing parameter {name}")
-            if state[name].shape != p.shape:
-                raise ValueError(f"shape mismatch for {name}")
-            p[...] = state[name]
+    def children(self):
+        return [*self.branches, self.encoder, self.decoder, self.head, self.out_act]
 
 
 @dataclass(frozen=True)

@@ -272,10 +272,14 @@ class TestExitCodes:
         ("density.summer_window", "[150]", "density.summer_window: expected a list of 2 values, got 1"),
         ("synth.drop_depth", '{"0.3": 1, "0.4": 2}', "synth.drop_depth: expected a list"),
         ("density.summer_window", "[150.5, 200]", "density.summer_window: expected an integer, got 150.5"),
+        # values the section's own checks refuse
+        ("train.w_alpha", "-1", "config section 'train': loss weights must be >= 0 ("),
+        ("mda2.residual_threshold", "0", "config section 'mda2': thresholds must be positive ("),
     ])
     def test_unconvertible_config_value_exits_two_naming_the_key(
             self, ws, tmp_path, capsys, monkeypatch, source, key, raw, message):
-        """The key is named once, wherever the value comes from."""
+        """The key is named once, wherever the value comes from; a value the
+        section refuses is named with the other keys its source set there."""
         section, name = key.split(".")
         try:
             value = json.loads(raw)
@@ -492,6 +496,20 @@ class TestGapfill:
         assert main(["gapfill", "--in", str(ws["ds"]), "--out", str(out), "--method", "linear"]) == 0
         report = read_json(out / "gapfill_report.json")
         assert report["method"] == "linear"
+
+    @pytest.mark.parametrize("command, flag, value, key", [
+        ("gapfill", "--method", "linear", "fill_method"),
+        ("cloudfilter", "--threshold", 0.3, "cloud_filter_threshold"),
+    ])
+    def test_manifest_records_the_flag_that_ran(self, ws, tmp_path, command, flag, value, key):
+        """The manifest's config holds what the run used, not the default
+        its flag overrode."""
+        out = tmp_path / "o"
+        assert main([command, "--in", str(ws["ds"]), "--out", str(out), "--model", str(ws["model"]),
+                     flag, str(value)]) == 0
+        assert read_manifest(out / "manifest.json")["config"]["pipeline"][key] == value
+        report = read_json(out / f"{command}_report.json")
+        assert report["method" if command == "gapfill" else "threshold"] == value
 
     def test_sf_requires_model(self, ws, tmp_path, capsys):
         rc = main(["gapfill", "--in", str(ws["ds"]), "--out", str(tmp_path / "x"), "--method", "sf"])

@@ -226,11 +226,7 @@ def reference_of(layer):
     while stack:
         lay = stack.pop()
         lay.__class__ = REFERENCE.get(type(lay), type(lay))
-        for attr in ("fwd", "bwd", "encoder", "decoder", "head"):
-            if hasattr(lay, attr):
-                stack.append(getattr(lay, attr))
-        stack.extend(getattr(lay, "layers", []))
-        stack.extend(getattr(lay, "branches", []))
+        stack.extend(lay.children())
     return ref
 
 

@@ -162,6 +162,30 @@ class TestGradientAccumulation:
         assert not layer.dw.any() and not layer.db.any()
 
 
+class TestLayerTree:
+    @pytest.mark.parametrize("head", ["regression", "detection"])
+    def test_astype_reaches_every_parameter_and_gradient(self, head):
+        """`astype` walks the whole tree: after a backward has filled the
+        gradients, every parameter and gradient is float64 and every gradient
+        zero, the values kept; names stay unique, so Adam's moments and the
+        state do not collide."""
+        net = SfNet(SfArchitecture(head=head), rng(2))
+        r = rng(3)
+        y = net.forward(r.standard_normal((4, 29, 9)).astype(np.float32), r.random((4, 29)) < 0.5)
+        net.backward(np.ones_like(y))
+        before = net.get_state()
+        assert net.astype(np.float64) is net
+        params = net.params()
+        names = [name for name, _, _ in params]
+        assert len(names) == len(set(names)) == len(before)
+        # two convolutions and two dense layers per branch, four LSTM cells, the head
+        assert len(params) == 2 * (4 * len(net.branches) + 4 + 1)
+        for name, p, g in params:
+            assert p.dtype == g.dtype == np.float64, name
+            assert g.shape == p.shape and not g.any(), name
+            np.testing.assert_array_equal(p, before[name])
+
+
 class TestPooling:
     def test_truncated_window_example(self):
         out = maxpool(np.array([1.0, 5.0, 1.0, 1.0]), 3)
