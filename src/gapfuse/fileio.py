@@ -688,9 +688,9 @@ def load_model(path) -> SfModel:
             sd=np.asarray(s["sd"], dtype=np.float64),
         )
         g = header["grid"]
-        grid = TemporalGrid(start_doy=g["start_doy"], step_days=g["step_days"], length=g["length"])
+        grid = TemporalGrid(**{k: _coerce(g[k], "int", f"grid.{k}") for k in ("start_doy", "step_days", "length")})
         # a pool's forward allocates T + pool - 1 steps; past 2T - 1 a window sees no more
-        if arch.pool > 2 * grid.length + 1:
+        if arch.pool > 2 * grid.length - 1:
             raise ValueError(f"a pool of {arch.pool} steps does not fit the grid's {grid.length} steps")
         # check the sizes against the file before anything is allocated:
         # the header alone may describe a network too large to build
@@ -808,7 +808,7 @@ def _coerce(value: Any, typestr: str, where: str) -> Any:
         unknown = set(value) - {"start_doy", "step_days", "length"}
         if unknown:
             raise ValueError(f"{where}: unknown grid keys {sorted(unknown)}")
-        return TemporalGrid(**{k: int(v) for k, v in value.items()})
+        return TemporalGrid(**{k: _coerce(v, "int", f"{where}.{k}") for k, v in value.items()})
     if t.startswith("Mapping[int") or t.startswith("dict[int"):
         if not isinstance(value, Mapping):
             raise ValueError(f"{where}: expected an object")
@@ -830,7 +830,7 @@ def _coerce(value: Any, typestr: str, where: str) -> Any:
             return value.lower() == "true"
         raise ValueError(f"{where}: expected a boolean, got {value!r}")
     if t == "int":
-        if isinstance(value, bool) or (isinstance(value, float) and value != int(value)):
+        if isinstance(value, bool) or (isinstance(value, float) and (math.isinf(value) or value != int(value))):
             raise ValueError(f"{where}: expected an integer, got {value!r}")
         return int(value)
     if t == "float":
@@ -855,7 +855,7 @@ def _section_from_dict(cls: type, d: Mapping[str, Any], section: str) -> Any:
         try:
             kwargs[k] = _coerce(v, str(by_name[k].type), where)
         except (TypeError, ValueError, OverflowError) as e:
-            if str(e).startswith(f"{where}:"):
+            if str(e).startswith((f"{where}:", f"{where}.")):  # named already, down to a nested key
                 raise
             raise ValueError(f"{where}: cannot take {v!r}: {e}") from None
     try:

@@ -179,8 +179,7 @@ class Layer:
         return []
 
     def params(self, _out: list | None = None) -> list[tuple[str, np.ndarray, np.ndarray]]:
-        """(name, parameter, gradient) triples, own tensors first, appended to
-        `_out` when it is given; gradients accumulate."""
+        """(name, parameter, gradient) triples, own tensors first; children append to the caller's `_out`."""
         out = [] if _out is None else _out
         for t in self.tensors:
             out.append((f"{self.name}.{t}", getattr(self, t), getattr(self, "d" + t)))
@@ -189,8 +188,10 @@ class Layer:
         return out
 
     def zero_grads(self) -> None:
-        for _, _, g in self.params():
-            g[...] = 0.0
+        for t in self.tensors:
+            getattr(self, "d" + t).fill(0.0)
+        for child in self.children():
+            child.zero_grads()
 
     def _new_grads(self) -> None:
         """Zeroed gradient buffers shaped and typed like the own tensors."""
@@ -666,11 +667,10 @@ def grad_check(
     gradient magnitude seen for that tensor, floored at 1e-6.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    fragment.astype(np.float64)
+    fragment.astype(np.float64)  # with zeroed gradients
     x = np.array(x, dtype=np.float64)
     y = fragment.forward(x)
     proj = rng.standard_normal(y.shape)
-    fragment.zero_grads()
     dx_analytic = fragment.backward(proj.copy())
     # pair positionally: duplicate layer names must not collapse tensors
     tensors: list[tuple[str, np.ndarray, np.ndarray]] = [

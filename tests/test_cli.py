@@ -272,6 +272,8 @@ class TestExitCodes:
         ("density.summer_window", "[150]", "density.summer_window: expected a list of 2 values, got 1"),
         ("synth.drop_depth", '{"0.3": 1, "0.4": 2}', "synth.drop_depth: expected a list"),
         ("density.summer_window", "[150.5, 200]", "density.summer_window: expected an integer, got 150.5"),
+        ("synth.grid", '{"start_doy": 100.9, "step_days": 6, "length": 29}',
+         "synth.grid.start_doy: expected an integer, got 100.9"),
         # values the section's own checks refuse
         ("train.w_alpha", "-1", "config section 'train': loss weights must be >= 0 ("),
         ("mda2.residual_threshold", "0", "config section 'mda2': thresholds must be positive ("),

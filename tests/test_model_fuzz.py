@@ -168,6 +168,7 @@ def tiny_scene(tmp_path_factory):
 @given(edits=st.lists(model_mutation(), min_size=1, max_size=3))
 @example(edits=[("set", ("arch", "pool"), 1.5)])
 @example(edits=[("set", ("arch", "pool"), 10 ** 40)])
+@example(edits=[("set", ("arch", "kernel"), float("inf"))])
 @example(edits=[("set", ("stats", "channels"), ["sigma0_vv_db", "sigma0_vh_db"])])
 @example(edits=[("set", ("format_version",), 2)])
 @example(edits=[("set", ("params", 0, "shape"), [-1, 4])])
@@ -189,6 +190,11 @@ def test_model_loads_or_refuses_naming_the_file(tiny_scene, edits):
     (("arch", "pool"), 10 ** 9, "a pool of 1000000000 steps does not fit the grid's 29 steps"),
     (("stats", "channels"), ["sigma0_vv_db", "sigma0_vh_db"], "stats channels must match the architecture's"),
     (("format_version",), 2, "unsupported format_version 2"),
+    # past 2T - 1 steps a window sees nothing more
+    (("arch", "pool"), 58, "a pool of 58 steps does not fit the grid's 29 steps"),
+    (("arch", "kernel"), float("inf"), "arch.kernel: expected an integer, got inf"),
+    (("arch", "conv_filters"), [float("inf"), 2], "arch.conv_filters: expected an integer, got inf"),
+    (("grid", "length"), 29.5, "grid.length: expected an integer, got 29.5"),
 ])
 def test_reader_refuses_naming_the_file(tmp_path, where, value, message):
     path = tmp_path / "m.gfm"
@@ -196,6 +202,12 @@ def test_reader_refuses_naming_the_file(tmp_path, where, value, message):
     with pytest.raises(FileFormatError, match=re.escape(message)) as e:
         load_model(path)
     assert e.value.path == str(path)
+
+
+def test_widest_useful_pool_loads(tmp_path):
+    path = tmp_path / "m.gfm"
+    path.write_bytes(_apply_model([("set", ("arch", "pool"), 2 * TemporalGrid().length - 1)]))
+    assert load_model(path).arch.pool == 57
 
 
 T = TemporalGrid().length
