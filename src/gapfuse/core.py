@@ -257,6 +257,11 @@ class Dataset:
     that order and kept in construction order within a parcel.  `pixels`
     views the rows as PixelSeries.  `select` derives a dataset from
     another.
+
+    `source` is what `fileio.read_dataset` records of the dataset.csv the
+    rows were read from, when `fileio.write_dataset` can copy that file's
+    text for every cell the rows leave unchanged; None for a dataset built
+    in memory.  It holds the file's arrays as read, never a dataset.
     """
 
     def __init__(self, grid: TemporalGrid, pixel_ids, parcel_ids, region_ids, ndvi, sar,
@@ -279,10 +284,11 @@ class Dataset:
         columns = [_id_column(ids) for ids in (pixel_ids, parcel_ids, region_ids)]
         if any(col.shape != (n,) for col in columns):
             raise ValueError(f"id column shapes {[col.shape for col in columns]} != ({n},)")
-        self._setup(grid, *columns, ndvi, sar, labels, check_radar=True)
+        self._setup(grid, *columns, ndvi, sar, labels, None, check_radar=True)
 
-    def _setup(self, grid, pixel_ids, parcel_ids, region_ids, ndvi, sar, labels, check_radar) -> None:
+    def _setup(self, grid, pixel_ids, parcel_ids, region_ids, ndvi, sar, labels, source, check_radar) -> None:
         object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "source", source)
         for name, arr in (("pixel_ids", pixel_ids), ("pixel_parcel_ids", parcel_ids),
                           ("pixel_region_ids", region_ids), ("ndvi", ndvi), ("sar", sar)):
             object.__setattr__(self, name, _frozen(arr))
@@ -369,7 +375,8 @@ class Dataset:
         pixels = self.pixels
         return tuple(pixels[i] for i in self.parcel_order[start:start + self.parcel_sizes[k]].tolist())
 
-    def select(self, rows=None, ndvi=None, labels: Mapping[int, ParcelLabel] | None = None) -> "Dataset":
+    def select(self, rows=None, ndvi=None, labels: Mapping[int, ParcelLabel] | None = None,
+               source=None) -> "Dataset":
         """The pixels at `rows` (an index array or a row mask; every row
         when None), in that order, with the (len(rows), T) NDVI block `ndvi`
         in place of theirs when given, and `labels`, by default this
@@ -377,10 +384,13 @@ class Dataset:
 
         Only what can change is checked: the new NDVI, repeated rows and the
         labels.  The radar rows were checked when this dataset was made and
-        are shared when every row is kept."""
+        are shared when every row is kept, and so are the id columns.  The
+        result carries `source` when given; otherwise it carries this
+        dataset's `source` when every row is kept, and None when not."""
         if rows is None:
             ids = (self.pixel_ids, self.pixel_parcel_ids, self.pixel_region_ids)
             sar = self.sar
+            source = self.source if source is None else source
         else:
             rows = np.asarray(rows)
             rows = np.flatnonzero(rows) if rows.dtype == bool else rows.astype(np.intp)
@@ -396,7 +406,7 @@ class Dataset:
             kept = set(ids[1].tolist())
             labels = {p: lab for p, lab in self.labels.items() if p in kept}
         out = Dataset.__new__(Dataset)
-        out._setup(self.grid, *ids, ndvi, sar, labels, check_radar=False)
+        out._setup(self.grid, *ids, ndvi, sar, labels, source, check_radar=False)
         return out
 
 

@@ -18,7 +18,10 @@ Python's `int()`/`float()` (a byte other than digits, signs, `.`, `e`,
 commas and newlines, a blank line, a failed parse, a non-finite value) is
 left, with the rest of the file, to the `csv` module and per-column
 `int()`/`float()`, which alone reject cells and name the row and column of
-an error.
+an error.  A dataset derived from one that was read with its ids, radar
+block and grid kept is written from the file it was read from: the NDVI
+cells whose values changed are written anew and every other byte is copied
+(see `write_dataset`).
 
 Model files are a magic line, a one-line JSON header (architecture, stats,
 grid, parameter names/shapes/offsets) and raw little-endian float32 blobs.
@@ -251,24 +254,125 @@ def _dataset_rows(chunk: tuple[list[tuple[int, int, int]], np.ndarray, np.ndarra
     return "".join(map("{}{},{},{},{},{}\n".format, keys, ndvi_cells, *radar))
 
 
-def write_dataset(dataset: Dataset, path) -> None:
-    """Write `dataset.csv` and `labels.csv` under the directory `path`.
+@dataclass(frozen=True, eq=False)
+class _Source:
+    """A dataset.csv that numpy's C parser read whole and whose rows came in
+    `write_dataset` order: the file, the sha256 digest of its bytes after
+    the header, and the grid and arrays read from it, which are the read
+    dataset's own, so that a dataset derived from it is known by sharing
+    them (see `write_dataset`)."""
 
-    Rows ordered by (pixel_id, step); only the four measured radar columns
-    are stored, the derived features being recomputed on read.  The rows are
-    formatted and written a chunk of pixels at a time."""
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    path: Path
+    digest: bytes
+    grid: TemporalGrid
+    ids: tuple[np.ndarray, np.ndarray, np.ndarray]
+    ndvi: np.ndarray
+    sar: np.ndarray
+
+
+class _SourceChanged(Exception):
+    """The source file no longer holds the text that was read from it."""
+
+
+def _splice_rows(src, out, ndvi: np.ndarray, changed: np.ndarray, digest: bytes) -> None:
+    """Copy the binary dataset.csv `src` to `out` a block of about
+    `_READ_CHUNK_BYTES` of whole lines at a time, with the NDVI cell of each
+    row `changed` marks written from that row's `ndvi` value (by repr, empty
+    for NaN) and a newline after a last line that lacks one.  A header, a
+    line of another field count, a row count or a digest other than the
+    file that was read raises `_SourceChanged`."""
+    if src.readline(len(_HEADER_LINE)) != _HEADER_LINE:
+        raise _SourceChanged
+    out.write(_HEADER_LINE)
+    width = len(DATASET_HEADER) - 1  # commas per line
+    at_ndvi = DATASET_HEADER.index("ndvi")
+    h = hashlib.sha256()
+    row = 0
+    for _, block in _line_blocks(src, len(_HEADER_LINE)):
+        if not block:
+            raise _SourceChanged
+        h.update(block)
+        text = np.frombuffer(block, np.uint8)
+        ends = np.flatnonzero(text == ord("\n"))
+        if not block.endswith(b"\n"):
+            ends = np.append(ends, len(block))
+        commas = np.flatnonzero(text == ord(","))
+        m = ends.shape[0]
+        if (row + m > ndvi.shape[0] or commas.shape[0] != width * m
+                or (np.searchsorted(commas, ends) != width * np.arange(1, m + 1)).any()):
+            raise _SourceChanged
+        at = np.flatnonzero(changed[row:row + m])
+        starts, stops = commas[at_ndvi - 1::width][at] + 1, commas[at_ndvi::width][at]
+        cells = [repr(v).encode() if v == v else b"" for v in ndvi[row + at].tolist()]
+        view, parts, pos = memoryview(block), [], 0
+        for lo, hi, cell in zip(starts.tolist(), stops.tolist(), cells):
+            parts += (view[pos:lo], cell)
+            pos = hi
+        parts.append(view[pos:])
+        if not block.endswith(b"\n"):
+            parts.append(b"\n")
+        out.write(b"".join(parts))
+        row += m
+    if row != ndvi.shape[0] or h.digest() != digest:
+        raise _SourceChanged
+
+
+def _splice_dataset(dataset: Dataset, csv_path: Path) -> bool:
+    """Write `csv_path` from the file `dataset` was derived from (see
+    `write_dataset`); False, with nothing written, when that cannot be."""
+    src = dataset.source
+    ids = (dataset.pixel_ids, dataset.pixel_parcel_ids, dataset.pixel_region_ids)
+    if (src is None or dataset.grid != src.grid or dataset.sar is not src.sar
+            or any(a is not b for a, b in zip(ids, src.ids))):
+        return False
+    new = dataset.ndvi.ravel()
+    # by bits, so 0.0 -> -0.0 is a change; a NaN read is an empty cell, which
+    # any NaN rewrites as it is
+    changed = new.view(np.uint64) != src.ndvi.ravel().view(np.uint64)
+    try:
+        fh = open(src.path, "rb")
+    except OSError:
+        return False
+    try:
+        with fh, _atomic_file(csv_path) as out:
+            _splice_rows(fh, out, new, changed, src.digest)
+    except _SourceChanged:
+        return False
+    return True
+
+
+def _format_dataset(dataset: Dataset, csv_path: Path) -> None:
+    """Write every cell of `dataset` to `csv_path`, a chunk of pixels at a time."""
     order = np.argsort(dataset.pixel_ids, kind="stable")
     raw = [SAR_CHANNELS.index(c) for c in _RAW_TO_CHANNEL.values()]
     step_cells = [f"{t},{int(d)}," for t, d in enumerate(dataset.grid.doys)]
-    with _atomic_file(path / DATASET_FILE, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_file(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(DATASET_HEADER) + "\n")
         for lo in range(0, order.shape[0], _WRITE_CHUNK_PIXELS):
             rows = order[lo:lo + _WRITE_CHUNK_PIXELS]
             ids = zip(*(col[rows].tolist() for col in
                         (dataset.pixel_ids, dataset.pixel_parcel_ids, dataset.pixel_region_ids)))
             fh.write(_dataset_rows((list(ids), dataset.ndvi[rows], dataset.sar[rows][:, :, raw]), step_cells))
+
+
+def write_dataset(dataset: Dataset, path) -> None:
+    """Write `dataset.csv` and `labels.csv` under the directory `path`.
+
+    Rows ordered by (pixel_id, step); only the four measured radar columns
+    are stored, the derived features being recomputed on read.  The rows are
+    formatted and written a chunk of pixels at a time.
+
+    A dataset that still shares the ids, radar block and grid that
+    `read_dataset` read from a file (its `source`) is instead written from
+    that file: the NDVI cells whose bits differ from the value read are
+    written as above and every other byte is copied, so a cell the rows
+    leave unchanged keeps its text (an empty cell stays empty whatever the
+    bits of the NaN written over it).  When that file cannot be
+    opened or no longer holds what was read, every cell is formatted."""
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    if not _splice_dataset(dataset, path / DATASET_FILE):
+        _format_dataset(dataset, path / DATASET_FILE)
     write_table_csv(path / LABELS_FILE, LABELS_HEADER, _label_rows(dataset.labels))
 
 
@@ -370,29 +474,43 @@ def _parse_chunk(chunk: bytes) -> np.ndarray | None:
     return rows
 
 
-def _parse_chunks(fh) -> tuple[list[np.ndarray], int | None]:
-    """The data rows that numpy's C parser reads from the start of the binary
-    dataset.csv `fh`, as `_parse_chunk` arrays of about `_READ_CHUNK_BYTES`
-    of lines each, and the byte offset at which the csv path takes over:
-    None when the parser reads the whole file, 0 when the first line is not
-    exactly the header."""
-    chunks: list[np.ndarray] = []
-    if fh.readline(len(_HEADER_LINE)) != _HEADER_LINE:
-        return chunks, 0
-    offset = len(_HEADER_LINE)
+def _line_blocks(fh, offset: int):
+    """(offset, block) for the blocks of about `_READ_CHUNK_BYTES` of whole
+    lines of the binary file `fh`, from `offset` to its end.  A line longer
+    than a block gives an empty block, the last one."""
     while True:
         fh.seek(offset)
         block = fh.read(_READ_CHUNK_BYTES)
         if not block:
-            return chunks, None
+            return
         # a short read ends at the end of the file, whose last line may lack
-        # its newline; a line longer than a block goes to the csv path
+        # its newline
         size = len(block) if len(block) < _READ_CHUNK_BYTES else block.rfind(b"\n") + 1
-        rows = _parse_chunk(block[:size]) if size else None
-        if rows is None:
-            return chunks, offset
-        chunks.append(rows)
+        yield offset, block[:size]
+        if not size:
+            return
         offset += size
+
+
+def _parse_chunks(fh) -> tuple[list[np.ndarray], int | None, bytes | None]:
+    """The data rows that numpy's C parser reads from the start of the binary
+    dataset.csv `fh`, as `_parse_chunk` arrays of about `_READ_CHUNK_BYTES`
+    of lines each; the byte offset at which the csv path takes over (None
+    when the parser reads the whole file, 0 when the first line is not
+    exactly the header); and, when it reads the whole file, the sha256
+    digest of the bytes after the header (else None)."""
+    chunks: list[np.ndarray] = []
+    h = hashlib.sha256()
+    if fh.readline(len(_HEADER_LINE)) != _HEADER_LINE:
+        return chunks, 0, None
+    for offset, block in _line_blocks(fh, len(_HEADER_LINE)):
+        # a line longer than a block goes to the csv path
+        rows = _parse_chunk(block) if block else None
+        if rows is None:
+            return chunks, offset, None
+        h.update(block)
+        chunks.append(rows)
+    return chunks, None, h.digest()
 
 
 def _read_dataset_columns(csv_path, fh):
@@ -404,16 +522,18 @@ def _read_dataset_columns(csv_path, fh):
     `_READ_CHUNK_ROWS` rows at a time and each column of those rows is
     converted in one pass; only this path rejects cells and names errors.
 
-    Returns (columns, invalid, last, stop):
+    Returns (columns, invalid, last, stop, digest):
     * columns: name -> array over the rows read (see `_convert_column`);
     * invalid: name -> mask of the cells the column's parser rejects;
     * last: (index of its first row, its raw columns) of the last csv chunk;
     * stop: the error of the row that ended the reading early, a wrong field
-      count or a tokenizer error, or None.
+      count or a tokenizer error, or None;
+    * digest: the sha256 digest of the bytes after the header when numpy's
+      C parser read them all, else None.
     Reading stops after a csv chunk with an invalid cell, since no later row
     can hold the first error."""
     width = len(DATASET_HEADER)
-    chunks, offset = _parse_chunks(fh)
+    chunks, offset, digest = _parse_chunks(fh)
     n = sum(rows.shape[0] for rows in chunks)
     parts = {name: [rows[name] for rows in chunks] for name in DATASET_HEADER}
     invalid = {name: [np.zeros(n, dtype=bool)] for name in DATASET_HEADER}
@@ -454,7 +574,7 @@ def _read_dataset_columns(csv_path, fh):
             break
     columns = {name: np.concatenate(p) if p else np.zeros(0, np.int64) for name, p in parts.items()}
     masks = {name: np.concatenate(p) for name, p in invalid.items()}
-    return columns, masks, last, stop
+    return columns, masks, last, stop, digest
 
 
 def _float32_unfit(vv: np.ndarray, vh: np.ndarray) -> np.ndarray:
@@ -477,13 +597,17 @@ def read_dataset(path) -> Dataset:
     columns.  Only when one fails is the offending
     row looked up: the first in file order, and within it the first failing
     check in column order, so the error names the row and column that a
-    row-by-row reader stopping at the first bad cell would name."""
+    row-by-row reader stopping at the first bad cell would name.
+
+    When numpy's C parser read the whole file and its rows already come in
+    `write_dataset` order, the dataset's `source` records the file (see
+    `_Source`)."""
     path = Path(path)
     csv_path = path / DATASET_FILE
     if not csv_path.exists():
         raise FileFormatError(csv_path, "file not found")
     with open(csv_path, "rb") as fh:
-        cols, invalid, last, stop = _read_dataset_columns(csv_path, fh)
+        cols, invalid, last, stop, digest = _read_dataset_columns(csv_path, fh)
     pid, parcel, region, step, doy, ndvi = (cols[c] for c in DATASET_HEADER[:6])
     pixel_ids, first_of_pixel, pixel = np.unique(pid, return_index=True, return_inverse=True)
     steps, first_of_step, step_index = np.unique(step, return_index=True, return_inverse=True)
@@ -549,7 +673,12 @@ def read_dataset(path) -> Dataset:
     if n_full < pixel_ids.shape[0]:
         raise FileFormatError(csv_path, f"pixel {pixel_ids[n_full]} does not cover every step of the grid")
     labels = read_labels(path / LABELS_FILE) if (path / LABELS_FILE).exists() else {}
-    return checked.select(labels=labels)
+    source = None
+    if digest is not None and np.array_equal(rows, np.arange(rows.shape[0])):
+        source = _Source(csv_path.resolve(), digest, grid,
+                         (checked.pixel_ids, checked.pixel_parcel_ids, checked.pixel_region_ids),
+                         checked.ndvi, checked.sar)
+    return checked.select(labels=labels, source=source)
 
 
 def read_labels(path) -> dict[int, ParcelLabel]:

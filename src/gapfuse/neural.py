@@ -178,13 +178,11 @@ class Layer:
     def children(self) -> list["Layer"]:
         return []
 
-    def params(self, _out: list | None = None) -> list[tuple[str, np.ndarray, np.ndarray]]:
-        """(name, parameter, gradient) triples, own tensors first; children append to the caller's `_out`."""
-        out = [] if _out is None else _out
-        for t in self.tensors:
-            out.append((f"{self.name}.{t}", getattr(self, t), getattr(self, "d" + t)))
+    def params(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
+        """(name, parameter, gradient) triples, own tensors first, then each child's in order."""
+        out = [(f"{self.name}.{t}", getattr(self, t), getattr(self, "d" + t)) for t in self.tensors]
         for child in self.children():
-            child.params(out)
+            out += child.params()
         return out
 
     def zero_grads(self) -> None:

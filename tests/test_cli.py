@@ -394,6 +394,20 @@ class TestPreprocess:
         cleaned = read_dataset(out)
         assert len(cleaned.pixels) == report["n_pixels_out"] == report["n_density_compliant"]
 
+    def test_in_place(self, ws, tmp_path, monkeypatch):
+        """--out the --in directory: the file read is replaced by the one
+        written from it, as the formatter would write it."""
+        d = tmp_path / "d"
+        d.mkdir()
+        for name in ("dataset.csv", "labels.csv"):
+            (d / name).write_bytes((ws["ds"] / name).read_bytes())
+        assert main(["preprocess", "--in", str(d), "--out", str(d)]) == 0
+        monkeypatch.setattr(fileio, "_splice_dataset", lambda dataset, csv_path: False)
+        assert main(["preprocess", "--in", str(ws["ds"]), "--out", str(tmp_path / "ref")]) == 0
+        for name in ("dataset.csv", "labels.csv", "preprocess_report.json"):
+            assert (d / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+        assert sorted(os.listdir(d)) == ["dataset.csv", "labels.csv", "manifest.json", "preprocess_report.json"]
+
 
 class TestTrain:
     def test_model_and_report(self, ws):
@@ -577,6 +591,26 @@ class TestGapfill:
                      "--fill", "linear", "--dnn-model", str(detector)]) == 2
         assert "grid length 29" in capsys.readouterr().err
         assert not (tmp_path / "ev.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["preprocess"],
+    ["preprocess", "--drop-noncompliant"],
+    ["gapfill", "--method", "akima"],
+    ["gapfill", "--method", "linear"],
+    ["gapfill", "--method", "quadratic"],
+    ["gapfill", "--method", "sf", "--model", "MODEL", "--cloud-filter"],
+    ["cloudfilter", "--model", "MODEL"],
+])
+def test_rule_commands_write_the_formatters_bytes(ws, tmp_path, monkeypatch, argv):
+    """A command that writes the dataset it read, changed, writes the bytes
+    that formatting every cell of its values gives."""
+    command, *rest = [str(ws["model"]) if a == "MODEL" else a for a in argv]
+    assert main([command, "--in", str(ws["ds"]), "--out", str(tmp_path / "spliced"), *rest]) == 0
+    monkeypatch.setattr(fileio, "_splice_dataset", lambda dataset, csv_path: False)
+    assert main([command, "--in", str(ws["ds"]), "--out", str(tmp_path / "formatted"), *rest]) == 0
+    for name in ("dataset.csv", "labels.csv"):
+        assert (tmp_path / "spliced" / name).read_bytes() == (tmp_path / "formatted" / name).read_bytes(), name
 
 
 @pytest.fixture(scope="module")

@@ -17,6 +17,7 @@ from gapfuse import (
     parcel_series,
     read_dataset,
 )
+from gapfuse import fileio
 from gapfuse.cli import main
 
 
@@ -201,3 +202,31 @@ def test_rule_pipeline_builds_no_pixel_series(tmp_path, monkeypatch):
         assert made == [], (argv[0], made[:3])
     # the counter does see row views when something asks for them
     assert len(read_dataset(pre).pixels) == 48 and made.count("view") == 48
+
+
+def test_rule_commands_format_no_cell_they_read(tmp_path, monkeypatch):
+    """preprocess, gapfill and cloudfilter copy the text of the dataset they
+    read and never format its rows; synth, which reads none, does."""
+    formatted = []
+    rows = fileio._dataset_rows
+
+    def counted_rows(*args):
+        formatted.append(args[0][1].shape[0])
+        return rows(*args)
+
+    monkeypatch.setattr(fileio, "_dataset_rows", counted_rows)
+    scene, pre, model = tmp_path / "scene", tmp_path / "pre", tmp_path / "model.gfm"
+    assert main(["synth", "--out", str(scene), "--parcels", "12", "--pixels-per-parcel", "4",
+                 "--regions", "2", "--seed", "5"]) == 0
+    assert sum(formatted) == 48
+    assert main(["train", "--in", str(scene), "--masks", str(scene / "masks.csv"), "--out", str(model),
+                 "--epochs", "1", "--seed", "1"]) == 0
+    steps = [
+        ["preprocess", "--in", str(scene), "--out", str(pre)],
+        ["gapfill", "--in", str(pre), "--out", str(tmp_path / "filled"), "--method", "akima"],
+        ["cloudfilter", "--in", str(scene), "--out", str(tmp_path / "clear"), "--model", str(model)],
+    ]
+    for argv in steps:
+        formatted.clear()
+        assert main(argv) == 0, argv
+        assert formatted == [], argv[0]

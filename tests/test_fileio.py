@@ -1,6 +1,8 @@
 """Persistence: CSV round trips with exact float fidelity, the binary model
 container, layered configuration, and run manifests."""
 
+import contextlib
+import dataclasses
 import json
 import os
 
@@ -9,6 +11,7 @@ import pytest
 
 from gapfuse import (
     SAR_CHANNELS,
+    Dataset,
     Event,
     EventSet,
     FileFormatError,
@@ -265,6 +268,162 @@ class TestDatasetFormat:
         assert [(px.pixel_id, px.parcel_id) for px in ds.pixels] == [(1, 2), (big, -big)]
         write_dataset(ds, tmp_path / "again")
         assert (tmp_path / "again" / "dataset.csv").read_bytes() == (tmp_path / "dataset.csv").read_bytes()
+
+
+# rows whose cells the C parser reads but repr would write otherwise:
+# `+100` in doy, `0.50` and `0.0` in ndvi, `-12.50` in a radar column
+_LOOSE_ROWS = (
+    "2,4,0,0,+100,0.50,-12.50,-18.0,0.5,0.25\n"
+    "2,4,0,1,106,0.0,-7.0,3.0,0.25,0.1\n"
+    "7,3,1,0,100,,-12.5,-18.25,0.1,0.0\n"
+    "7,3,1,1,106,0.20,-1.0,-1e-05,1e-05,1.0\n"
+)
+_HEADER_TEXT = ",".join(DATASET_HEADER) + "\n"
+
+
+def _read_text(directory, rows: str, newline: str = "\n"):
+    """The dataset read from a dataset.csv of `rows` under `directory`."""
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "dataset.csv").write_bytes((_HEADER_TEXT + rows).replace("\n", newline).encode())
+    return read_dataset(directory)
+
+
+def _formatted(dataset, directory) -> bytes:
+    """The dataset.csv that every cell formatted gives for `dataset`'s values."""
+    write_dataset(Dataset(dataset.grid, dataset.pixel_ids, dataset.pixel_parcel_ids, dataset.pixel_region_ids,
+                          dataset.ndvi, dataset.sar, dataset.labels), directory)
+    return (directory / "dataset.csv").read_bytes()
+
+
+class TestSplicedWrite:
+    """A dataset derived from a read one, with its ids, radar block and grid
+    kept, is written from the file it was read from: changed NDVI cells
+    anew, every other byte copied."""
+
+    def test_unchanged_cells_keep_their_text(self, tmp_path):
+        ds = _read_text(tmp_path / "in", _LOOSE_ROWS)
+        assert ds.source is not None
+        write_dataset(ds, tmp_path / "same")
+        assert (tmp_path / "same" / "dataset.csv").read_text() == _HEADER_TEXT + _LOOSE_ROWS
+        # any NaN equals any NaN
+        write_dataset(ds.select(ndvi=np.where(np.isnan(ds.ndvi), np.copysign(np.nan, -1.0), ds.ndvi)),
+                      tmp_path / "nan")
+        assert (tmp_path / "nan" / "dataset.csv").read_text() == _HEADER_TEXT + _LOOSE_ROWS
+
+    def test_changed_cells_are_written_by_repr_or_empty(self, tmp_path):
+        ds = _read_text(tmp_path / "in", _LOOSE_ROWS)
+        ndvi = ds.ndvi.copy()
+        ndvi[0, 1] = -0.0  # 0.0 -> -0.0 differs by its bits
+        ndvi[1, 0] = 0.1 + 0.2
+        ndvi[1, 1] = np.nan
+        write_dataset(ds.select(ndvi=ndvi), tmp_path / "out")
+        assert (tmp_path / "out" / "dataset.csv").read_text() == _HEADER_TEXT + (
+            "2,4,0,0,+100,0.50,-12.50,-18.0,0.5,0.25\n"
+            "2,4,0,1,106,-0.0,-7.0,3.0,0.25,0.1\n"
+            "7,3,1,0,100,0.30000000000000004,-12.5,-18.25,0.1,0.0\n"
+            "7,3,1,1,106,,-1.0,-1e-05,1e-05,1.0\n"
+        )
+        again = read_dataset(tmp_path / "out")
+        assert again.ndvi.tobytes() == ndvi.tobytes() and again.sar.tobytes() == ds.sar.tobytes()
+
+    def test_last_line_without_newline_gets_one(self, tmp_path):
+        ds = _read_text(tmp_path / "in", _LOOSE_ROWS[:-1])
+        assert ds.source is not None
+        ndvi = ds.ndvi.copy()
+        ndvi[1, 1] = 0.25
+        write_dataset(ds.select(ndvi=ndvi), tmp_path / "out")
+        assert (tmp_path / "out" / "dataset.csv").read_text() == (
+            _HEADER_TEXT + _LOOSE_ROWS[:-len("0.20,-1.0,-1e-05,1e-05,1.0\n")] + "0.25,-1.0,-1e-05,1e-05,1.0\n")
+
+    def test_a_canonical_file_gives_the_formatters_bytes(self, synth, tmp_path):
+        write_dataset(synth.dataset, tmp_path / "in")
+        ds = read_dataset(tmp_path / "in")
+        ndvi = np.where(np.isnan(ds.ndvi), 0.5, ds.ndvi)
+        ndvi[::2, ::3] = np.nan
+        derived = ds.select(ndvi=ndvi)
+        write_dataset(derived, tmp_path / "out")
+        assert (tmp_path / "out" / "dataset.csv").read_bytes() == _formatted(derived, tmp_path / "ref")
+
+    # each way the source is lost: the output is the formatter's, which
+    # writes `0.5` where the source holds `0.50`
+    def test_source_rewritten_after_the_read(self, tmp_path):
+        ds = _read_text(tmp_path / "in", _LOOSE_ROWS)
+        # same field counts, other text: only the digest tells
+        (tmp_path / "in" / "dataset.csv").write_text(_HEADER_TEXT + _LOOSE_ROWS.replace("-12.50", "-12.75"))
+        write_dataset(ds, tmp_path / "out")
+        assert (tmp_path / "out" / "dataset.csv").read_bytes() == _formatted(ds, tmp_path / "ref")
+        assert b"0.50" not in (tmp_path / "out" / "dataset.csv").read_bytes()
+
+    def test_source_deleted_after_the_read(self, tmp_path):
+        ds = _read_text(tmp_path / "in", _LOOSE_ROWS)
+        (tmp_path / "in" / "dataset.csv").unlink()
+        write_dataset(ds, tmp_path / "out")
+        assert (tmp_path / "out" / "dataset.csv").read_bytes() == _formatted(ds, tmp_path / "ref")
+
+    @pytest.mark.parametrize("rows, newline", [
+        ("".join(_LOOSE_ROWS.splitlines(keepends=True)[i] for i in (2, 3, 0, 1)), "\n"),  # pixel 7 first
+        ("".join(_LOOSE_ROWS.splitlines(keepends=True)[i] for i in (1, 0, 2, 3)), "\n"),  # step 1 first
+        (_LOOSE_ROWS, "\r\n"),  # left to the csv path
+    ], ids=["pixel-order", "step-order", "crlf"])
+    def test_no_source_without_rows_in_order_read_by_the_c_parser(self, tmp_path, rows, newline):
+        ds = _read_text(tmp_path / "in", rows, newline)
+        assert ds.source is None
+        write_dataset(ds, tmp_path / "out")
+        assert (tmp_path / "out" / "dataset.csv").read_bytes() == _formatted(ds, tmp_path / "ref")
+
+    def test_row_subset_is_formatted(self, tmp_path):
+        ds = _read_text(tmp_path / "in", _LOOSE_ROWS)
+        sub = ds.select([0])
+        assert sub.source is None
+        write_dataset(sub, tmp_path / "out")
+        assert (tmp_path / "out" / "dataset.csv").read_text() == _HEADER_TEXT + (
+            "2,4,0,0,100,0.5,-12.5,-18.0,0.5,0.25\n2,4,0,1,106,0.0,-7.0,3.0,0.25,0.1\n")
+
+    @pytest.mark.parametrize("field, value", [
+        ("sar", lambda ds: ds.sar.copy()),
+        ("grid", lambda ds: TemporalGrid(start_doy=100, step_days=7, length=2)),
+        ("ids", lambda ds: (ds.pixel_ids.copy(), ds.pixel_parcel_ids, ds.pixel_region_ids)),
+    ])
+    def test_a_source_of_other_arrays_is_not_used(self, tmp_path, field, value):
+        ds = _read_text(tmp_path / "in", _LOOSE_ROWS)
+        other = ds.select(source=dataclasses.replace(ds.source, **{field: value(ds)}))
+        write_dataset(other, tmp_path / "out")
+        assert (tmp_path / "out" / "dataset.csv").read_bytes() == _formatted(ds, tmp_path / "ref")
+
+    def test_failure_partway_keeps_the_old_file(self, synth, tmp_path, monkeypatch):
+        """Written in place, block by block: a failed write leaves the old
+        dataset.csv whole, no temp file, and no formatted fallback."""
+        write_dataset(synth.dataset, tmp_path)
+        before = (tmp_path / "dataset.csv").read_bytes()
+        ds = read_dataset(tmp_path)
+        derived = ds.select(ndvi=np.where(np.isnan(ds.ndvi), 0.5, ds.ndvi))
+        atomic_file, writes = fileio._atomic_file, []
+
+        class FailingFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                writes.append(len(data))
+                if len(writes) == 3:
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        @contextlib.contextmanager
+        def failing_file(path, mode="wb", **kwargs):
+            with atomic_file(path, mode, **kwargs) as fh:
+                yield FailingFile(fh)
+
+        def no_formatting(*args):
+            raise AssertionError("formatted after a failed splice")
+
+        monkeypatch.setattr(fileio, "_READ_CHUNK_BYTES", 4096)
+        monkeypatch.setattr(fileio, "_atomic_file", failing_file)
+        monkeypatch.setattr(fileio, "_dataset_rows", no_formatting)
+        with pytest.raises(OSError, match="disk full"):
+            write_dataset(derived, tmp_path)
+        assert (tmp_path / "dataset.csv").read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["dataset.csv", "labels.csv"]
 
 
 class TestMaskPools:
