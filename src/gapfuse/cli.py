@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .evalx import (
 )
 from .fileio import (
     _csv_file,
+    DATASET_FILE,
     VERSION,
     EVENTS_HEADER,
     LABELS_HEADER,
@@ -77,10 +79,12 @@ class _Run:
         self.inputs: dict[str, str] = {}
         self._written: list[Path] = []
 
-    def record_input(self, path) -> None:
+    def record_input(self, path, known: Mapping[str, str] | None = None) -> None:
+        """Record the digest of the file `path`, or of every file under the
+        directory `path` (see `hash_tree` for `known`)."""
         p = Path(path)
         if p.is_dir():
-            for rel, digest in hash_tree(p).items():
+            for rel, digest in hash_tree(p, known=known).items():
                 self.inputs[f"{p}/{rel}"] = digest
         elif p.is_file():
             self.inputs[str(p)] = sha256_file(p)
@@ -91,11 +95,15 @@ class _Run:
         self._written.extend(Path(p) for p in paths)
 
     def read_dataset(self, path) -> Dataset:
-        """Record the dataset directory `path` as an input and read it."""
-        self.record_input(path)
+        """Read the dataset directory `path` and record it as an input.  The
+        dataset.csv that the read parsed whole takes the digest of the bytes
+        parsed (its `source`); any other file is hashed."""
         if not Path(path).is_dir():
+            self.record_input(path)  # a missing path is refused here
             raise FileNotFoundError(f"dataset directory not found: {path}")
-        return read_dataset(path)
+        ds = read_dataset(path)
+        self.record_input(path, known={DATASET_FILE: ds.source.digest} if ds.source is not None else None)
+        return ds
 
     def write_json(self, path, obj) -> None:
         """Write `obj` as JSON (see `fileio.write_json`) and record it as an output."""

@@ -13,7 +13,9 @@ repr so values round-trip bit-exactly):
 * events.csv   parcel_id, event_doy, score (empty pair = no events found)
 
 dataset.csv is read a bounded chunk of about 1 MB of whole lines at a time
-by numpy's C parser.  A chunk that parser could read otherwise than
+by numpy's C parser, which takes the bytes as read (the NDVI column as text,
+converted once per chunk) and whose read hashes the file for the splice and
+the manifest.  A chunk that parser could read otherwise than
 Python's `int()`/`float()` (a byte other than digits, signs, `.`, `e`,
 commas and newlines, a blank line, a failed parse, a non-finite value) is
 left, with the rest of the file, to the `csv` module and per-column
@@ -235,8 +237,11 @@ _READ_CHUNK_BYTES = 1 << 20
 _HEADER_LINE = (",".join(DATASET_HEADER) + "\n").encode()
 # the only bytes a chunk may hold for the C parser to read it (see `_parse_chunk`)
 _CHUNK_BYTES = b"0123456789+-.eE,\n"
-_CHUNK_DTYPE = np.dtype([(name, np.int64) for name in _INT_COLUMNS]
-                        + [(name, np.float64) for name in DATASET_HEADER[5:]])
+# NDVI is taken as its text, so that an empty cell needs no rewrite of the
+# chunk; a cell that fills the field may have been cut short
+_NDVI_CELL = np.dtype("S32")
+_CHUNK_DTYPE = np.dtype([(name, np.int64) for name in _INT_COLUMNS] + [("ndvi", _NDVI_CELL)]
+                        + [(name, np.float64) for name in DATASET_HEADER[6:]])
 
 
 def _dataset_rows(chunk: tuple[list[tuple[int, int, int]], np.ndarray, np.ndarray],
@@ -257,13 +262,14 @@ def _dataset_rows(chunk: tuple[list[tuple[int, int, int]], np.ndarray, np.ndarra
 @dataclass(frozen=True, eq=False)
 class _Source:
     """A dataset.csv that numpy's C parser read whole and whose rows came in
-    `write_dataset` order: the file, the sha256 digest of its bytes after
-    the header, and the grid and arrays read from it, which are the read
-    dataset's own, so that a dataset derived from it is known by sharing
-    them (see `write_dataset`)."""
+    `write_dataset` order: the file, the `sha256_file` digest of the bytes
+    parsed (the whole file, header included), and the grid and arrays read
+    from it, which are the read dataset's own, so that a dataset derived
+    from it is known by sharing them (see `write_dataset`).  The digest is
+    also the one a run's manifest records for the file."""
 
     path: Path
-    digest: bytes
+    digest: str
     grid: TemporalGrid
     ids: tuple[np.ndarray, np.ndarray, np.ndarray]
     ndvi: np.ndarray
@@ -274,19 +280,19 @@ class _SourceChanged(Exception):
     """The source file no longer holds the text that was read from it."""
 
 
-def _splice_rows(src, out, ndvi: np.ndarray, changed: np.ndarray, digest: bytes) -> None:
+def _splice_rows(src, out, ndvi: np.ndarray, changed: np.ndarray, digest: str) -> None:
     """Copy the binary dataset.csv `src` to `out` a block of about
     `_READ_CHUNK_BYTES` of whole lines at a time, with the NDVI cell of each
     row `changed` marks written from that row's `ndvi` value (by repr, empty
     for NaN) and a newline after a last line that lacks one.  A header, a
-    line of another field count, a row count or a digest other than the
-    file that was read raises `_SourceChanged`."""
+    line of another field count, a row count or a whole-file digest other
+    than the file that was read raises `_SourceChanged`."""
     if src.readline(len(_HEADER_LINE)) != _HEADER_LINE:
         raise _SourceChanged
     out.write(_HEADER_LINE)
     width = len(DATASET_HEADER) - 1  # commas per line
     at_ndvi = DATASET_HEADER.index("ndvi")
-    h = hashlib.sha256()
+    h = hashlib.sha256(_HEADER_LINE)
     row = 0
     for _, block in _line_blocks(src, len(_HEADER_LINE)):
         if not block:
@@ -313,7 +319,7 @@ def _splice_rows(src, out, ndvi: np.ndarray, changed: np.ndarray, digest: bytes)
             parts.append(b"\n")
         out.write(b"".join(parts))
         row += m
-    if row != ndvi.shape[0] or h.digest() != digest:
+    if row != ndvi.shape[0] or _digest_text(h) != digest:
         raise _SourceChanged
 
 
@@ -447,31 +453,43 @@ def _convert_column(name: str, cells: tuple[str, ...]) -> tuple[np.ndarray, np.n
     return arr, bad | (~np.isfinite(arr) & ~empty)
 
 
-def _parse_chunk(chunk: bytes) -> np.ndarray | None:
-    """The rows of `chunk`, whole dataset.csv lines, parsed by numpy's C
-    parser into `_CHUNK_DTYPE`, an empty NDVI cell giving NaN; or None when
-    the chunk is left to the csv path because the C parser could read it
+def _parse_chunk(chunk: bytes) -> dict[str, np.ndarray] | None:
+    """The columns of the rows of `chunk`, whole dataset.csv lines, parsed as
+    they are by numpy's C parser into `_CHUNK_DTYPE`, with the NDVI text then
+    converted in one pass (an empty cell is NaN, any other goes through
+    `astype(np.float64)`, which parses as `float()` does); or None when the
+    chunk is left to the csv path because the C parser could read it
     otherwise than `_convert_column` does:
     * a byte outside `_CHUNK_BYTES` (a literal nan or inf, a quote, `\\r`, a
       pad, a `#`, an underscore, non-ASCII text);
     * a line the parser skips (a blank line) or a failed parse (a wrong field
-      count, a bad or out-of-range number; warnings count as failures, since
-      numpy before 2.0 reads `1.0` into an int column with a warning);
+      count, a bad or out-of-range number, an NDVI cell `float()` refuses;
+      warnings count as failures, since numpy before 2.0 reads `1.0` into an
+      int column with a warning);
+    * an NDVI cell that fills `_NDVI_CELL`, which may have been cut short;
     * a non-finite value other than an empty NDVI cell (`1e999` is inf)."""
     if chunk.translate(None, _CHUNK_BYTES):
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            rows = np.loadtxt(io.BytesIO(chunk.replace(b",,", b",nan,")), dtype=_CHUNK_DTYPE,
-                              delimiter=",", comments=None, ndmin=1)
+            rows = np.loadtxt(io.BytesIO(chunk), dtype=_CHUNK_DTYPE, delimiter=",", comments=None, ndmin=1)
+            if rows.shape[0] != chunk.count(b"\n") + (not chunk.endswith(b"\n")):
+                return None
+            cells = rows["ndvi"]
+            lengths = np.char.str_len(cells)
+            if (lengths == _NDVI_CELL.itemsize).any():
+                return None
+            present = lengths > 0
+            ndvi = np.full(cells.shape[0], np.nan)
+            ndvi[present] = cells[present].astype(np.float64)
         except (ValueError, Warning):
             return None
-    if rows.shape[0] != chunk.count(b"\n") + (not chunk.endswith(b"\n")):
+    columns = {name: rows[name] for name in DATASET_HEADER}
+    columns["ndvi"] = ndvi
+    if np.isinf(ndvi).any() or not all(np.isfinite(columns[c]).all() for c in _RAW_TO_CHANNEL):
         return None
-    if np.isinf(rows["ndvi"]).any() or not all(np.isfinite(rows[c]).all() for c in _RAW_TO_CHANNEL):
-        return None
-    return rows
+    return columns
 
 
 def _line_blocks(fh, offset: int):
@@ -492,17 +510,18 @@ def _line_blocks(fh, offset: int):
         offset += size
 
 
-def _parse_chunks(fh) -> tuple[list[np.ndarray], int | None, bytes | None]:
+def _parse_chunks(fh) -> tuple[list[dict[str, np.ndarray]], int | None, str | None]:
     """The data rows that numpy's C parser reads from the start of the binary
-    dataset.csv `fh`, as `_parse_chunk` arrays of about `_READ_CHUNK_BYTES`
+    dataset.csv `fh`, as `_parse_chunk` columns of about `_READ_CHUNK_BYTES`
     of lines each; the byte offset at which the csv path takes over (None
     when the parser reads the whole file, 0 when the first line is not
-    exactly the header); and, when it reads the whole file, the sha256
-    digest of the bytes after the header (else None)."""
-    chunks: list[np.ndarray] = []
-    h = hashlib.sha256()
+    exactly the header); and, when it reads the whole file, the
+    `sha256_file` digest of the bytes it parsed, which are the whole file
+    (else None)."""
+    chunks: list[dict[str, np.ndarray]] = []
     if fh.readline(len(_HEADER_LINE)) != _HEADER_LINE:
         return chunks, 0, None
+    h = hashlib.sha256(_HEADER_LINE)
     for offset, block in _line_blocks(fh, len(_HEADER_LINE)):
         # a line longer than a block goes to the csv path
         rows = _parse_chunk(block) if block else None
@@ -510,7 +529,7 @@ def _parse_chunks(fh) -> tuple[list[np.ndarray], int | None, bytes | None]:
             return chunks, offset, None
         h.update(block)
         chunks.append(rows)
-    return chunks, None, h.digest()
+    return chunks, None, _digest_text(h)
 
 
 def _read_dataset_columns(csv_path, fh):
@@ -528,13 +547,13 @@ def _read_dataset_columns(csv_path, fh):
     * last: (index of its first row, its raw columns) of the last csv chunk;
     * stop: the error of the row that ended the reading early, a wrong field
       count or a tokenizer error, or None;
-    * digest: the sha256 digest of the bytes after the header when numpy's
-      C parser read them all, else None.
+    * digest: the `sha256_file` digest of the file when numpy's C parser
+      read it all, else None.
     Reading stops after a csv chunk with an invalid cell, since no later row
     can hold the first error."""
     width = len(DATASET_HEADER)
     chunks, offset, digest = _parse_chunks(fh)
-    n = sum(rows.shape[0] for rows in chunks)
+    n = sum(rows["pixel_id"].shape[0] for rows in chunks)
     parts = {name: [rows[name] for rows in chunks] for name in DATASET_HEADER}
     invalid = {name: [np.zeros(n, dtype=bool)] for name in DATASET_HEADER}
     reader = iter(())
@@ -599,9 +618,11 @@ def read_dataset(path) -> Dataset:
     check in column order, so the error names the row and column that a
     row-by-row reader stopping at the first bad cell would name.
 
-    When numpy's C parser read the whole file and its rows already come in
-    `write_dataset` order, the dataset's `source` records the file (see
-    `_Source`)."""
+    Each byte of dataset.csv is read once.  When numpy's C parser read the
+    whole file and its rows already come in `write_dataset` order, the
+    dataset's `source` records the file and the digest of the bytes parsed
+    (see `_Source`), so that neither a write from it nor a run's manifest
+    reads the file again to hash it."""
     path = Path(path)
     csv_path = path / DATASET_FILE
     if not csv_path.exists():
@@ -1029,23 +1050,32 @@ def load_config(path=None, env: Mapping[str, str] | None = None) -> RunConfig:
     return RunConfig.from_dict(merged)
 
 
+def _digest_text(h) -> str:
+    """A finished sha256 `h` as `sha256_file` writes it."""
+    return "sha256:" + h.hexdigest()
+
+
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
-    return "sha256:" + h.hexdigest()
+    return _digest_text(h)
 
 
-def hash_tree(path) -> dict[str, str]:
-    """Relative-path -> digest for a file or every file under a directory."""
+def hash_tree(path, known: Mapping[str, str] | None = None) -> dict[str, str]:
+    """Relative-path -> digest for a file or every file under a directory;
+    a file under the directory whose relative path `known` maps takes that
+    digest unread."""
     path = Path(path)
+    known = known or {}
     if path.is_file():
         return {path.name: sha256_file(path)}
     out = {}
     for p in sorted(path.rglob("*")):
         if p.is_file():
-            out[str(p.relative_to(path))] = sha256_file(p)
+            rel = str(p.relative_to(path))
+            out[rel] = known.get(rel) or sha256_file(p)
     return out
 
 

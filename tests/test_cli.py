@@ -409,6 +409,44 @@ class TestPreprocess:
         assert sorted(os.listdir(d)) == ["dataset.csv", "labels.csv", "manifest.json", "preprocess_report.json"]
 
 
+class TestInputDigests:
+    """A dataset directory a command reads is recorded by the digest of each
+    of its files as read; dataset.csv's comes from the read itself when
+    numpy's C parser read it whole."""
+
+    def _copy(self, ws, d, newline=b"\n"):
+        d.mkdir()
+        (d / "dataset.csv").write_bytes((ws["ds"] / "dataset.csv").read_bytes().replace(b"\n", newline))
+        (d / "labels.csv").write_bytes((ws["ds"] / "labels.csv").read_bytes())
+        return {f"{d}/{name}": fileio.sha256_file(d / name) for name in ("dataset.csv", "labels.csv")}
+
+    @pytest.mark.parametrize("newline, parsed_whole", [(b"\n", True), (b"\r\n", False)], ids=["c-parser", "csv-path"])
+    def test_manifest_records_the_files_digests(self, ws, tmp_path, newline, parsed_whole):
+        want = self._copy(ws, tmp_path / "d", newline)
+        assert (read_dataset(tmp_path / "d").source is not None) == parsed_whole
+        assert main(["preprocess", "--in", str(tmp_path / "d"), "--out", str(tmp_path / "out")]) == 0
+        assert read_manifest(tmp_path / "out" / "manifest.json")["inputs"] == want
+
+    def test_in_place_records_the_file_it_read(self, ws, tmp_path):
+        d = tmp_path / "d"
+        want = self._copy(ws, d)
+        assert main(["preprocess", "--in", str(d), "--out", str(d), "--drop-noncompliant"]) == 0
+        m = read_manifest(d / "manifest.json")
+        assert m["inputs"] == want
+        assert m["outputs"]["dataset.csv"] == fileio.sha256_file(d / "dataset.csv") != want[f"{d}/dataset.csv"]
+
+    @pytest.mark.parametrize("kind, message", [("missing", "input not found"),
+                                               ("file", "dataset directory not found")])
+    def test_input_that_is_no_directory_exits_two(self, ws, tmp_path, capsys, kind, message):
+        inp = tmp_path / "in"
+        if kind == "file":
+            inp.write_bytes((ws["ds"] / "dataset.csv").read_bytes())
+        rc = main(["preprocess", "--in", str(inp), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"gapfuse: error: {message}: {inp}\n"
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 class TestTrain:
     def test_model_and_report(self, ws):
         model = ws["model"]

@@ -2,6 +2,8 @@
 against one-parcel-at-a-time averaging, and CLI stages that never build a
 per-pixel object."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from gapfuse import (
     parcel_series,
     read_dataset,
 )
-from gapfuse import fileio
+from gapfuse import cli, fileio
 from gapfuse.cli import main
 
 
@@ -230,3 +232,36 @@ def test_rule_commands_format_no_cell_they_read(tmp_path, monkeypatch):
         formatted.clear()
         assert main(argv) == 0, argv
         assert formatted == [], argv[0]
+
+
+def test_rule_commands_hash_no_dataset_they_read(tmp_path, monkeypatch):
+    """preprocess, detect and eval --in record the dataset.csv they read by
+    the digest its read took, without hashing it again; every file they
+    write is still hashed for the manifest."""
+    hashed = []
+    sha256_file = fileio.sha256_file
+
+    def counted_sha256_file(path):
+        hashed.append(Path(path).resolve())
+        return sha256_file(path)
+
+    monkeypatch.setattr(fileio, "sha256_file", counted_sha256_file)
+    monkeypatch.setattr(cli, "sha256_file", counted_sha256_file)
+    scene, events, score = tmp_path / "scene", tmp_path / "events.csv", tmp_path / "score"
+    assert main(["synth", "--out", str(scene), "--parcels", "12", "--pixels-per-parcel", "4",
+                 "--regions", "2", "--seed", "5"]) == 0
+    steps = [
+        (["preprocess", "--in", str(scene), "--out", str(tmp_path / "pre")], tmp_path / "pre" / "manifest.json"),
+        (["detect", "--in", str(scene), "--out", str(events), "--fill", "akima", "--algo", "mda2"],
+         tmp_path / "events.manifest.json"),
+        (["eval", "--pred", str(events), "--truth", str(scene / "labels.csv"), "--in", str(scene),
+          "--out", str(score)], score / "manifest.json"),
+    ]
+    for argv, manifest in steps:
+        hashed.clear()
+        assert main(argv) == 0, argv
+        recorded = fileio.read_manifest(manifest)
+        assert f"{scene}/dataset.csv" in recorded["inputs"], argv[0]
+        assert (scene / "dataset.csv").resolve() not in hashed, argv[0]
+        outputs = {(manifest.parent / key).resolve() for key in recorded["outputs"]}
+        assert outputs and outputs <= set(hashed), argv[0]

@@ -354,6 +354,13 @@ class TestSplicedWrite:
         assert (tmp_path / "out" / "dataset.csv").read_bytes() == _formatted(ds, tmp_path / "ref")
         assert b"0.50" not in (tmp_path / "out" / "dataset.csv").read_bytes()
 
+    def test_source_header_rewritten_after_the_read(self, tmp_path):
+        ds = _read_text(tmp_path / "in", _LOOSE_ROWS)
+        # the same rows under a header of the same length
+        (tmp_path / "in" / "dataset.csv").write_text(_HEADER_TEXT.upper() + _LOOSE_ROWS)
+        write_dataset(ds, tmp_path / "out")
+        assert (tmp_path / "out" / "dataset.csv").read_bytes() == _formatted(ds, tmp_path / "ref")
+
     def test_source_deleted_after_the_read(self, tmp_path):
         ds = _read_text(tmp_path / "in", _LOOSE_ROWS)
         (tmp_path / "in" / "dataset.csv").unlink()

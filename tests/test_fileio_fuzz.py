@@ -176,6 +176,14 @@ CELL_VALUES = ["abc", "", " ", "nan", "NaN", "inf", "-inf", "1e999", "1.5", "-1.
                "1.0000000000000002", "-1e-300", "2", "0", "1", "-1", "1_0", "1__0", "0x10", "+3", "3.0", "1e5",
                "1000000000000", "99999999999999999999", "٣", '"1,5"', '"0.5"', '""', "400", "-400", "-4000",
                "1e39"]
+# NDVI text of 31, 32 and 40 bytes: the C parser takes at most 32 bytes of a
+# cell, and the 40-byte ones read 1e31 and 0.5 when cut there
+NDVI_31, NDVI_32, NDVI_40 = "1" + "0" * 26 + "e-27", "1" + "0" * 27 + "e-28", "1" + "0" * 35 + "e-36"
+NDVI_40_OUT_OF_RANGE = "0.5" + "0" * 35 + "e9"
+# what the sweep sets each cell to: the fuzz values and the float texts the
+# NDVI column's text conversion must read as `float()` does
+SWEEP_VALUES = CELL_VALUES + [".", "e5", "+", "-", "1e", "1e+", "--1", "1.", ".5", "+.5", "-.5", "1E-1", "1e-400",
+                              "-0", NDVI_31, NDVI_32, NDVI_40, NDVI_40_OUT_OF_RANGE]
 
 
 @st.composite
@@ -276,6 +284,19 @@ def _outcome(read, path):
 @example(edits=[("cell", 5, 7, "1e999")], chunk=2)
 @example(edits=[("cell", 8, 8, "1e999")], chunk=5)
 @example(edits=[("cell", 3, 9, "1e999")], chunk=1)
+# NDVI text the C parser takes as it is: cells of 31, 32 and 40 bytes, empty
+# cells first and last in a chunk (2 lines each at chunk 2), and text that
+# `float()` refuses or reads as inf
+@example(edits=[("cell", 5, 5, NDVI_31)], chunk=1024)
+@example(edits=[("cell", 5, 5, NDVI_32)], chunk=2)
+@example(edits=[("cell", 5, 5, NDVI_40)], chunk=1024)
+@example(edits=[("cell", 2, 5, "")], chunk=2)
+@example(edits=[("cell", 9, 5, "")], chunk=2)
+@example(edits=[("cell", 0, 5, ""), ("cell", 11, 5, "")], chunk=1024)
+@example(edits=[("cell", 6, 5, "1e999")], chunk=1024)
+@example(edits=[("cell", 6, 5, ".")], chunk=1024)
+@example(edits=[("cell", 6, 5, "e5")], chunk=2)
+@example(edits=[("cell", 6, 5, "+")], chunk=5)
 def test_reader_matches_row_by_row_reference(edits, chunk):
     lines = VALID_LINES
     for edit in edits:
@@ -291,17 +312,47 @@ def test_reader_matches_row_by_row_reference(edits, chunk):
             got, got_err = _outcome(read_dataset, src)
             with contextlib.redirect_stderr(io.StringIO()):
                 rc = main(["preprocess", "--in", str(src), "--out", str(Path(d) / "out")])
+    _assert_same_outcome(got, got_err, want, want_err)
+    assert rc == (2 if want_err is not None else 0)
+
+
+# pixels 2 and 5 of the valid file
+SWEEP_LINES = VALID_LINES[:9]
+
+
+@pytest.mark.parametrize("chunk", [1, 1024])
+@pytest.mark.parametrize("column", HEADER[5:])
+def test_every_single_cell_mutation_matches_the_reference(tmp_path, column, chunk):
+    """Each NDVI or radar cell of a 2-pixel file set to each of
+    `SWEEP_VALUES`, one file at a time: a deterministic sweep of the single
+    mutations a random draw may miss, read whole by one C-parser chunk
+    (chunk 1024) or one line per chunk (chunk 1)."""
+    at = HEADER.index(column)
+    with mock.patch.object(fileio, "_READ_CHUNK_ROWS", chunk), \
+            mock.patch.object(fileio, "_READ_CHUNK_BYTES", 128 * chunk):
+        for row, value in itertools.product(range(len(SWEEP_LINES) - 1), SWEEP_VALUES):
+            lines = _apply(SWEEP_LINES, ("cell", row, at, value))
+            (tmp_path / "dataset.csv").write_text("\n".join(lines) + "\n")
+            want, want_err = _outcome(reference_read, tmp_path)
+            got, got_err = _outcome(read_dataset, tmp_path)
+            try:
+                _assert_same_outcome(got, got_err, want, want_err)
+            except AssertionError as e:
+                raise AssertionError(f"row {row}, {column} = {value!r}: {e}") from None
+
+
+def _assert_same_outcome(got, got_err, want, want_err) -> None:
+    """`read_dataset`'s outcome is `reference_read`'s: the same error, row
+    and column, or the same data."""
     if want_err is not None:
         assert got_err is not None, f"accepted a file the reference rejects: {want_err}"
         assert type(got_err) is type(want_err)
         assert str(got_err) == str(want_err)
         if isinstance(want_err, FileFormatError):
             assert (got_err.row, got_err.column) == (want_err.row, want_err.column)
-        assert rc == 2
         return
     assert got_err is None, f"rejected a file the reference accepts: {got_err}"
     _assert_same(got, want)
-    assert rc == 0
 
 
 def _assert_same(got: Dataset, want) -> None:
