@@ -40,6 +40,7 @@ from .evalx import (
 )
 from .fileio import (
     _csv_file,
+    COPY_FILE,
     DATASET_FILE,
     VERSION,
     EVENTS_HEADER,
@@ -77,9 +78,10 @@ class _Run:
         self.argv = list(argv)
         self.config = config
         self.inputs: dict[str, str] = {}
-        self._written: list[Path] = []
+        # each output, and its digest when known as it was written
+        self._written: dict[Path, str | None] = {}
 
-    def record_input(self, path, known: Mapping[str, str] | None = None) -> None:
+    def record_input(self, path, known: Mapping[str, str | None] | None = None) -> None:
         """Record the digest of the file `path`, or of every file under the
         directory `path` (see `hash_tree` for `known`)."""
         p = Path(path)
@@ -91,18 +93,22 @@ class _Run:
         else:
             raise FileNotFoundError(f"input not found: {p}")
 
-    def wrote(self, *paths) -> None:
-        self._written.extend(Path(p) for p in paths)
+    def wrote(self, *paths, digests: Mapping[Path, str] | None = None) -> None:
+        """Record `paths` as outputs, and the files `digests` maps as outputs
+        of those digests, which `finish` then takes unread."""
+        self._written.update((Path(p), None) for p in paths)
+        self._written.update(digests or {})
 
     def read_dataset(self, path) -> Dataset:
         """Read the dataset directory `path` and record it as an input.  The
-        dataset.csv that the read parsed whole takes the digest of the bytes
-        parsed (its `source`); any other file is hashed."""
+        dataset.csv and dataset.npz that the read hashed take the digests of
+        the bytes read (its `source`); any other file is hashed."""
         if not Path(path).is_dir():
             self.record_input(path)  # a missing path is refused here
             raise FileNotFoundError(f"dataset directory not found: {path}")
         ds = read_dataset(path)
-        self.record_input(path, known={DATASET_FILE: ds.source.digest} if ds.source is not None else None)
+        src = ds.source
+        self.record_input(path, known=None if src is None else {DATASET_FILE: src.digest, COPY_FILE: src.copy_digest})
         return ds
 
     def write_json(self, path, obj) -> None:
@@ -115,13 +121,13 @@ class _Run:
         # directory is moved; inputs live elsewhere and stay absolute
         base = Path(manifest_path).resolve().parent
         outputs = {}
-        for p in self._written:
-            rp = Path(p).resolve()
+        for p, digest in self._written.items():
+            rp = p.resolve()
             try:
                 key = str(rp.relative_to(base))
             except ValueError:
                 key = str(rp)
-            outputs[key] = sha256_file(p)
+            outputs[key] = digest or sha256_file(p)
         write_manifest(manifest_path, self.command, self.argv, self.config, self.inputs, outputs)
 
     def cleanup(self) -> None:
@@ -133,8 +139,8 @@ class _Run:
 
 
 def _write_dataset(run: _Run, dataset: Dataset, out: Path) -> None:
-    write_dataset(dataset, out)
-    run.wrote(out / "dataset.csv", out / "labels.csv")
+    digests = write_dataset(dataset, out)
+    run.wrote(out / "labels.csv", digests={out / name: digest for name, digest in digests.items()})
 
 
 def _sibling_manifest(out_file: Path) -> Path:

@@ -25,6 +25,17 @@ block and grid kept is written from the file it was read from: the NDVI
 cells whose values changed are written anew and every other byte is copied
 (see `write_dataset`).
 
+dataset.npz, written beside every dataset.csv, is a cache of its parse keyed
+by the sha256 of the dataset.csv bytes: the id columns, the grid, NDVI and
+the four raw radar columns as the parse gives them, that digest, and a
+digest of its own arrays.  `read_dataset` builds the dataset from the copy,
+through the checking `Dataset` constructor, when the digest it records is
+that of dataset.csv as read and its own digest checks; otherwise, whatever
+is wrong with the copy, it parses dataset.csv, which stays the file of
+record.  The copy's digest guards against damage, not forgery: a copy
+written with other arrays and their digests passes every check the
+constructor makes.
+
 Model files are a magic line, a one-line JSON header (architecture, stats,
 grid, parameter names/shapes/offsets) and raw little-endian float32 blobs.
 All writes go through a temp-file-then-rename so readers never observe a
@@ -45,6 +56,7 @@ import operator
 import os
 import tempfile
 import warnings
+import zipfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -71,6 +83,7 @@ LABELS_HEADER = ("parcel_id", "event_doy")
 EVENTS_HEADER = ("parcel_id", "event_doy", "score")
 
 DATASET_FILE = "dataset.csv"
+COPY_FILE = "dataset.npz"
 LABELS_FILE = "labels.csv"
 
 
@@ -149,13 +162,18 @@ def _parse_int(path, row: int, column: str, raw: str) -> int:
         raise FileFormatError(path, f"not an integer: {_cell(raw)}", row, column) from None
 
 
+def _parse_int64(path, row: int, column: str, raw: str, what: str) -> int:
+    """An integer cell in the int64 range, so that array arithmetic on it
+    stays exact; `what` names the value in the error."""
+    value = _parse_int(path, row, column, raw)
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise FileFormatError(path, f"{what} outside the int64 range", row, column)
+    return value
+
+
 def _parse_doy(path, row: int, raw: str) -> int:
-    """An `event_doy` cell: an integer in the int64 range, so that grid
-    arithmetic on it stays finite."""
-    doy = _parse_int(path, row, "event_doy", raw)
-    if not -2 ** 63 <= doy < 2 ** 63:
-        raise FileFormatError(path, "day of year outside the int64 range", row, "event_doy")
-    return doy
+    """An `event_doy` cell, which grid arithmetic takes."""
+    return _parse_int64(path, row, "event_doy", raw, "day of year")
 
 
 def _parse_float(path, row: int, column: str, raw: str) -> float:
@@ -261,12 +279,14 @@ def _dataset_rows(chunk: tuple[list[tuple[int, int, int]], np.ndarray, np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class _Source:
-    """A dataset.csv that numpy's C parser read whole and whose rows came in
-    `write_dataset` order: the file, the `sha256_file` digest of the bytes
-    parsed (the whole file, header included), and the grid and arrays read
-    from it, which are the read dataset's own, so that a dataset derived
-    from it is known by sharing them (see `write_dataset`).  The digest is
-    also the one a run's manifest records for the file."""
+    """A dataset.csv read from its copy, or that numpy's C parser read whole
+    and whose rows came in `write_dataset` order: the file, the
+    `sha256_file` digest of its bytes as read (the whole file, header
+    included), and the grid and arrays read, which are the read dataset's
+    own, so that a dataset derived from it is known by sharing them (see
+    `write_dataset`).  The digest is also the one a run's manifest records
+    for the file, and `copy_digest`, that of the dataset.npz read in its
+    place (None when the file was parsed)."""
 
     path: Path
     digest: str
@@ -274,25 +294,27 @@ class _Source:
     ids: tuple[np.ndarray, np.ndarray, np.ndarray]
     ndvi: np.ndarray
     sar: np.ndarray
+    copy_digest: str | None = None
 
 
 class _SourceChanged(Exception):
     """The source file no longer holds the text that was read from it."""
 
 
-def _splice_rows(src, out, ndvi: np.ndarray, changed: np.ndarray, digest: str) -> None:
+def _splice_rows(src, out, ndvi: np.ndarray, changed: np.ndarray, digest: str) -> str:
     """Copy the binary dataset.csv `src` to `out` a block of about
     `_READ_CHUNK_BYTES` of whole lines at a time, with the NDVI cell of each
     row `changed` marks written from that row's `ndvi` value (by repr, empty
-    for NaN) and a newline after a last line that lacks one.  A header, a
-    line of another field count, a row count or a whole-file digest other
-    than the file that was read raises `_SourceChanged`."""
+    for NaN) and a newline after a last line that lacks one; returns the
+    `sha256_file` digest of the bytes written.  A header, a line of another
+    field count, a row count or a whole-file digest other than the file that
+    was read raises `_SourceChanged`."""
     if src.readline(len(_HEADER_LINE)) != _HEADER_LINE:
         raise _SourceChanged
     out.write(_HEADER_LINE)
     width = len(DATASET_HEADER) - 1  # commas per line
     at_ndvi = DATASET_HEADER.index("ndvi")
-    h = hashlib.sha256(_HEADER_LINE)
+    h, written = hashlib.sha256(_HEADER_LINE), hashlib.sha256(_HEADER_LINE)
     row = 0
     for _, block in _line_blocks(src, len(_HEADER_LINE)):
         if not block:
@@ -317,20 +339,24 @@ def _splice_rows(src, out, ndvi: np.ndarray, changed: np.ndarray, digest: str) -
         parts.append(view[pos:])
         if not block.endswith(b"\n"):
             parts.append(b"\n")
-        out.write(b"".join(parts))
+        data = b"".join(parts)
+        written.update(data)
+        out.write(data)
         row += m
     if row != ndvi.shape[0] or _digest_text(h) != digest:
         raise _SourceChanged
+    return _digest_text(written)
 
 
-def _splice_dataset(dataset: Dataset, csv_path: Path) -> bool:
+def _splice_dataset(dataset: Dataset, csv_path: Path) -> str | None:
     """Write `csv_path` from the file `dataset` was derived from (see
-    `write_dataset`); False, with nothing written, when that cannot be."""
+    `write_dataset`) and return the digest of what was written; None, with
+    nothing written, when that cannot be."""
     src = dataset.source
     ids = (dataset.pixel_ids, dataset.pixel_parcel_ids, dataset.pixel_region_ids)
     if (src is None or dataset.grid != src.grid or dataset.sar is not src.sar
             or any(a is not b for a, b in zip(ids, src.ids))):
-        return False
+        return None
     new = dataset.ndvi.ravel()
     # by bits, so 0.0 -> -0.0 is a change; a NaN read is an empty cell, which
     # any NaN rewrites as it is
@@ -338,31 +364,96 @@ def _splice_dataset(dataset: Dataset, csv_path: Path) -> bool:
     try:
         fh = open(src.path, "rb")
     except OSError:
-        return False
+        return None
     try:
         with fh, _atomic_file(csv_path) as out:
-            _splice_rows(fh, out, new, changed, src.digest)
+            return _splice_rows(fh, out, new, changed, src.digest)
     except _SourceChanged:
-        return False
-    return True
+        return None
 
 
-def _format_dataset(dataset: Dataset, csv_path: Path) -> None:
-    """Write every cell of `dataset` to `csv_path`, a chunk of pixels at a time."""
+# the raw radar columns as indices into SAR_CHANNELS
+_RAW_CHANNELS = [SAR_CHANNELS.index(c) for c in _RAW_TO_CHANNEL.values()]
+
+
+def _format_dataset(dataset: Dataset, csv_path: Path) -> str:
+    """Write every cell of `dataset` to `csv_path`, a chunk of pixels at a
+    time, and return the digest of what was written."""
     order = np.argsort(dataset.pixel_ids, kind="stable")
-    raw = [SAR_CHANNELS.index(c) for c in _RAW_TO_CHANNEL.values()]
     step_cells = [f"{t},{int(d)}," for t, d in enumerate(dataset.grid.doys)]
-    with _atomic_file(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(DATASET_HEADER) + "\n")
+    h = hashlib.sha256(_HEADER_LINE)
+    with _atomic_file(csv_path) as fh:
+        fh.write(_HEADER_LINE)
         for lo in range(0, order.shape[0], _WRITE_CHUNK_PIXELS):
             rows = order[lo:lo + _WRITE_CHUNK_PIXELS]
             ids = zip(*(col[rows].tolist() for col in
                         (dataset.pixel_ids, dataset.pixel_parcel_ids, dataset.pixel_region_ids)))
-            fh.write(_dataset_rows((list(ids), dataset.ndvi[rows], dataset.sar[rows][:, :, raw]), step_cells))
+            data = _dataset_rows((list(ids), dataset.ndvi[rows], dataset.sar[rows][:, :, _RAW_CHANNELS]),
+                                 step_cells).encode()
+            h.update(data)
+            fh.write(data)
+    return _digest_text(h)
 
 
-def write_dataset(dataset: Dataset, path) -> None:
-    """Write `dataset.csv` and `labels.csv` under the directory `path`.
+# a digest as `sha256_file` writes it
+_DIGEST_DTYPE = np.dtype("U71")
+# dataset.npz's members, in the order its digest takes them, and their dtypes
+_COPY_DTYPES = {
+    **dict.fromkeys(("pixel_id", "parcel_id", "region_id", "grid"), np.dtype(np.int64)),
+    **dict.fromkeys(("ndvi", *_RAW_TO_CHANNEL), np.dtype(np.float64)),
+    "csv_sha256": _DIGEST_DTYPE,
+}
+# the member that holds the digest of the others
+_COPY_DIGEST = "digest"
+
+
+def _copy_digest(arrays: Mapping[str, np.ndarray]) -> str:
+    """The digest of a copy's members: each one's name, dtype, shape and
+    bytes, in `_COPY_DTYPES` order."""
+    h = hashlib.sha256()
+    for name in _COPY_DTYPES:
+        a = np.ascontiguousarray(arrays[name])
+        h.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
+        h.update(a)
+    return _digest_text(h)
+
+
+def _write_copy(dataset: Dataset, copy_path: Path, csv_digest: str) -> str | None:
+    """Write `dataset` to the copy `copy_path` as the dataset.csv of digest
+    `csv_digest` parses (see the module docstring) and return the digest of
+    the file; None, with any old copy removed, for ids outside int64, which
+    the copy cannot hold.  The members carry no time stamp, so the same
+    dataset gives the same bytes."""
+    ids = (dataset.pixel_ids, dataset.pixel_parcel_ids, dataset.pixel_region_ids)
+    if any(col.dtype != np.int64 for col in ids):
+        copy_path.unlink(missing_ok=True)
+        return None
+    order = np.argsort(dataset.pixel_ids, kind="stable")
+    grid = dataset.grid
+    arrays = dict(zip(("pixel_id", "parcel_id", "region_id"), (col[order] for col in ids)))
+    # a one-step grid is read back with the default step
+    arrays["grid"] = np.array([grid.start_doy, grid.step_days if grid.length > 1 else 6, grid.length])
+    arrays["ndvi"] = dataset.ndvi[order]
+    arrays["ndvi"][np.isnan(arrays["ndvi"])] = np.nan  # an empty cell reads as this NaN
+    for name, c in zip(_RAW_TO_CHANNEL, _RAW_CHANNELS):
+        arrays[name] = np.ascontiguousarray(dataset.sar[order, :, c])
+    arrays["csv_sha256"] = np.array(csv_digest, dtype=_DIGEST_DTYPE)
+    arrays[_COPY_DIGEST] = np.array(_copy_digest(arrays), dtype=_DIGEST_DTYPE)
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, a in arrays.items():
+            with zf.open(zipfile.ZipInfo(name + ".npy"), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, a, allow_pickle=False)
+    data = buf.getbuffer()
+    with _atomic_file(copy_path) as fh:
+        fh.write(data)
+    return _digest_text(hashlib.sha256(data))
+
+
+def write_dataset(dataset: Dataset, path) -> dict[str, str]:
+    """Write `dataset.csv`, its copy `dataset.npz` and `labels.csv` under
+    the directory `path`, and return the `sha256_file` digests of the first
+    two, hashed as they were written, by file name.
 
     Rows ordered by (pixel_id, step); only the four measured radar columns
     are stored, the derived features being recomputed on read.  The rows are
@@ -374,12 +465,20 @@ def write_dataset(dataset: Dataset, path) -> None:
     written as above and every other byte is copied, so a cell the rows
     leave unchanged keeps its text (an empty cell stays empty whatever the
     bits of the NaN written over it).  When that file cannot be
-    opened or no longer holds what was read, every cell is formatted."""
+    opened or no longer holds what was read, every cell is formatted.
+
+    The copy is written after dataset.csv, so a write that fails between
+    the two leaves a copy whose digest is not the new file's, which no read
+    uses.  Ids outside int64 get no copy."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    if not _splice_dataset(dataset, path / DATASET_FILE):
-        _format_dataset(dataset, path / DATASET_FILE)
+    csv_digest = _splice_dataset(dataset, path / DATASET_FILE) or _format_dataset(dataset, path / DATASET_FILE)
+    digests = {DATASET_FILE: csv_digest}
+    copy_digest = _write_copy(dataset, path / COPY_FILE, csv_digest)
+    if copy_digest is not None:
+        digests[COPY_FILE] = copy_digest
     write_table_csv(path / LABELS_FILE, LABELS_HEADER, _label_rows(dataset.labels))
+    return digests
 
 
 def _label_rows(labels: Mapping[int, ParcelLabel]):
@@ -596,37 +695,36 @@ def _read_dataset_columns(csv_path, fh):
     return columns, masks, last, stop, digest
 
 
-def _float32_unfit(vv: np.ndarray, vh: np.ndarray) -> np.ndarray:
-    """Rows whose radar channels, as `derive_channels` derives them from
-    these backscatter values in dB, are not all finite in float32, the
-    model's dtype.  derive_channels refuses a non-finite value and a VH power
-    that underflows to 0; either gives a non-finite channel, so those rows
-    are unfit as they are and are derived from 0 dB instead."""
+# the radar channels that derive from the backscatter columns alone; the
+# others are the coherences and their mean, which lie in [0, 1] when the
+# coherences do
+_BACKSCATTER_CHANNELS = ("sigma0_vv_db", "sigma0_vh_db", "sigma0_ratio", "sigma0_cross_ratio_db", "rvi")
+
+
+def _derive_columns(cols: Mapping[str, np.ndarray]) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The radar channels `derive_channels` derives from the raw radar
+    columns, and the rows whose backscatter channels are not all finite in
+    float32, the model's dtype.  derive_channels refuses a non-finite value,
+    a VH power that underflows to 0 and a coherence outside [0, 1]: a row it
+    would refuse for its backscatter is unfit as it is, and such a row's
+    channels are derived from 0 instead (a coherence outside [0, 1] fails a
+    check of its own)."""
+    vv, vh, coh_vv, coh_vh = (cols[c] for c in _RAW_TO_CHANNEL)
     with np.errstate(all="ignore"):
         refused = ~(np.isfinite(vv) & np.isfinite(vh)) | (db_to_linear(vh) == 0.0)
-        zero = np.zeros_like(vv)  # the coherences are checked on their own
-        sar = derive_channels(np.where(refused, 0.0, vv), np.where(refused, 0.0, vh), zero, zero)
-    return refused | ~np.logical_and.reduce([finite_in_float32(c) for c in sar.values()])
+        if refused.any():
+            vv, vh = np.where(refused, 0.0, vv), np.where(refused, 0.0, vh)
+        outside = ~((coh_vv >= 0.0) & (coh_vv <= 1.0) & (coh_vh >= 0.0) & (coh_vh <= 1.0))
+        if outside.any():
+            coh_vv, coh_vh = np.where(outside, 0.0, coh_vv), np.where(outside, 0.0, coh_vh)
+        sar = derive_channels(vv, vh, coh_vv, coh_vh)
+    return sar, refused | ~np.logical_and.reduce([finite_in_float32(sar[c]) for c in _BACKSCATTER_CHANNELS])
 
 
-def read_dataset(path) -> Dataset:
-    """Read a dataset directory written by `write_dataset`.
-
-    The pixels come in ascending id order.  Every check runs on whole
-    columns.  Only when one fails is the offending
-    row looked up: the first in file order, and within it the first failing
-    check in column order, so the error names the row and column that a
-    row-by-row reader stopping at the first bad cell would name.
-
-    Each byte of dataset.csv is read once.  When numpy's C parser read the
-    whole file and its rows already come in `write_dataset` order, the
-    dataset's `source` records the file and the digest of the bytes parsed
-    (see `_Source`), so that neither a write from it nor a run's manifest
-    reads the file again to hash it."""
-    path = Path(path)
-    csv_path = path / DATASET_FILE
-    if not csv_path.exists():
-        raise FileFormatError(csv_path, "file not found")
+def _parse_dataset(csv_path: Path) -> Dataset:
+    """The dataset that dataset.csv `csv_path` holds, without labels, with
+    its `_Source` when numpy's C parser read the whole file and its rows
+    come in `write_dataset` order (see `read_dataset`)."""
     with open(csv_path, "rb") as fh:
         cols, invalid, last, stop, digest = _read_dataset_columns(csv_path, fh)
     pid, parcel, region, step, doy, ndvi = (cols[c] for c in DATASET_HEADER[:6])
@@ -655,7 +753,7 @@ def read_dataset(path) -> Dataset:
     # a derived radar channel the model's float32 cannot hold, blamed on the
     # backscatter value further from 0 dB
     vv, vh = cols["sig_vv_db"], cols["sig_vh_db"]
-    unfit, vv_blamed = _float32_unfit(vv, vh), np.abs(vv) >= np.abs(vh)
+    (channels, unfit), vv_blamed = _derive_columns(cols), np.abs(vv) >= np.abs(vh)
     checks += [(unfit & blamed, c, lambda i: f"radar channels derived from sig_vv_db {vv[i]} and sig_vh_db {vh[i]} "
                 "are not finite in float32") for c, blamed in (("sig_vv_db", vv_blamed), ("sig_vh_db", ~vv_blamed))]
     checks += [
@@ -681,25 +779,84 @@ def read_dataset(path) -> Dataset:
     # pixels in id order up to the first that misses a step (each step is in
     # range(grid.length) and none repeats, so a full pixel has one row per step)
     short = np.flatnonzero(np.bincount(pixel, minlength=pixel_ids.shape[0]) != grid.length)
-    n_full = int(short[0]) if short.size else pixel_ids.shape[0]
-    rows = order[:n_full * grid.length]
-
-    def block(column: np.ndarray) -> np.ndarray:
-        return column[rows].reshape(n_full, grid.length)
-
-    sar = derive_channels(*(block(cols[c]) for c in _RAW_TO_CHANNEL))
-    checked = Dataset(
-        grid, pixel_ids[:n_full], parcel[first_of_pixel][:n_full], region[first_of_pixel][:n_full],
-        block(ndvi), np.stack([sar[c] for c in SAR_CHANNELS], axis=2))
-    if n_full < pixel_ids.shape[0]:
-        raise FileFormatError(csv_path, f"pixel {pixel_ids[n_full]} does not cover every step of the grid")
-    labels = read_labels(path / LABELS_FILE) if (path / LABELS_FILE).exists() else {}
+    if short.size:
+        raise FileFormatError(csv_path, f"pixel {pixel_ids[short[0]]} does not cover every step of the grid")
+    ids = (pixel_ids, parcel[first_of_pixel], region[first_of_pixel])
+    ndvi = ndvi[order].reshape(pixel_ids.shape[0], grid.length)
+    sar = np.stack([channels[c] for c in SAR_CHANNELS], axis=1)[order].reshape(*ndvi.shape, len(SAR_CHANNELS))
     source = None
-    if digest is not None and np.array_equal(rows, np.arange(rows.shape[0])):
-        source = _Source(csv_path.resolve(), digest, grid,
-                         (checked.pixel_ids, checked.pixel_parcel_ids, checked.pixel_region_ids),
-                         checked.ndvi, checked.sar)
-    return checked.select(labels=labels, source=source)
+    if digest is not None and np.array_equal(order, np.arange(order.shape[0])):
+        source = _Source(csv_path.resolve(), digest, grid, ids, ndvi, sar)
+    # the checks above are the constructor's radar checks, made on whole
+    # columns, so the rows are not checked again (as in `Dataset.select`)
+    out = Dataset.__new__(Dataset)
+    out._setup(grid, *ids, ndvi, sar, None, source, check_radar=False)
+    return out
+
+
+def _read_copy(copy_path: Path, csv_path: Path) -> Dataset | None:
+    """The dataset, without labels, that the copy `copy_path` holds, with
+    its `_Source`, when the copy is whole and records the digest of
+    dataset.csv `csv_path` as it is now; None when it is not, whatever is
+    wrong with it (see the module docstring)."""
+    try:
+        data = copy_path.read_bytes()
+        with np.load(io.BytesIO(data), allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in (*_COPY_DTYPES, _COPY_DIGEST)}
+    except Exception:  # noqa: BLE001 - a copy that cannot be read, however damaged, is no copy
+        return None
+    # a digest held otherwise than as a 0-d string does not print as one
+    digest = str(arrays.pop(_COPY_DIGEST))
+    if (any(arrays[name].dtype != dtype for name, dtype in _COPY_DTYPES.items())
+            or digest != _copy_digest(arrays) or arrays["grid"].shape != (3,)):
+        return None
+    csv_digest = sha256_file(csv_path)
+    if str(arrays["csv_sha256"]) != csv_digest:
+        return None
+    ids = tuple(arrays[c] for c in ("pixel_id", "parcel_id", "region_id"))
+    n = ids[0].shape[0] if ids[0].ndim == 1 else 0
+    try:
+        grid = TemporalGrid(*arrays["grid"].tolist())
+        blocks = [arrays[c] for c in ("ndvi", *_RAW_TO_CHANNEL)]
+        # as the parse reads them: at least a row, ascending pixel ids
+        if (n == 0 or any(col.shape != (n,) for col in ids) or (ids[0][1:] <= ids[0][:-1]).any()
+                or any(b.shape != (n, grid.length) for b in blocks)):
+            return None
+        with np.errstate(all="ignore"):
+            sar = derive_channels(*blocks[1:])
+        checked = Dataset(grid, *ids, blocks[0], np.stack([sar[c] for c in SAR_CHANNELS], axis=2))
+    except ValueError:
+        return None
+    ids = (checked.pixel_ids, checked.pixel_parcel_ids, checked.pixel_region_ids)
+    return checked.select(source=_Source(csv_path.resolve(), csv_digest, grid, ids, checked.ndvi, checked.sar,
+                                         _digest_text(hashlib.sha256(data))))
+
+
+def read_dataset(path) -> Dataset:
+    """Read a dataset directory written by `write_dataset`.
+
+    The pixels come in ascending id order.  When dataset.npz records the
+    digest of dataset.csv as it is and its own digest checks, the dataset is
+    built from that copy and dataset.csv is only hashed; otherwise
+    dataset.csv is parsed (see the module docstring).  The dataset's
+    `source` records the file, the digest of its bytes and that of the copy
+    read (see `_Source`), so that neither a write from it nor a run's
+    manifest reads either file again to hash it.
+
+    A parse runs every check on whole columns.  Only when one fails is the
+    offending row looked up: the first in file order, and within it the
+    first failing check in column order, so the error names the row and
+    column that a row-by-row reader stopping at the first bad cell would
+    name.  Each byte of dataset.csv is read once; the source is recorded
+    when numpy's C parser read the whole file and its rows already come in
+    `write_dataset` order."""
+    path = Path(path)
+    csv_path = path / DATASET_FILE
+    if not csv_path.exists():
+        raise FileFormatError(csv_path, "file not found")
+    dataset = _read_copy(path / COPY_FILE, csv_path) or _parse_dataset(csv_path)
+    labels = read_labels(path / LABELS_FILE) if (path / LABELS_FILE).exists() else {}
+    return dataset.select(labels=labels)
 
 
 def read_labels(path) -> dict[int, ParcelLabel]:
@@ -743,8 +900,8 @@ def read_mask_pools(path) -> dict[int, MaskPool]:
         for rownum, row in rows:
             if len(row) != t + 2:
                 raise FileFormatError(path, f"expected {t + 2} fields, got {len(row)}", rownum)
-            mid = _parse_int(path, rownum, "mask_id", row[0])
-            region = _parse_int(path, rownum, "region_id", row[1])
+            mid = _parse_int64(path, rownum, "mask_id", row[0], "mask id")
+            region = _parse_int64(path, rownum, "region_id", row[1], "region id")
             if mid in seen:
                 raise FileFormatError(path, f"duplicate mask_id {mid}", rownum, "mask_id")
             seen.add(mid)
@@ -1063,10 +1220,10 @@ def sha256_file(path) -> str:
     return _digest_text(h)
 
 
-def hash_tree(path, known: Mapping[str, str] | None = None) -> dict[str, str]:
+def hash_tree(path, known: Mapping[str, str | None] | None = None) -> dict[str, str]:
     """Relative-path -> digest for a file or every file under a directory;
-    a file under the directory whose relative path `known` maps takes that
-    digest unread."""
+    a file under the directory whose relative path `known` maps to a digest
+    takes that digest unread."""
     path = Path(path)
     known = known or {}
     if path.is_file():

@@ -404,9 +404,10 @@ class TestPreprocess:
         assert main(["preprocess", "--in", str(d), "--out", str(d)]) == 0
         monkeypatch.setattr(fileio, "_splice_dataset", lambda dataset, csv_path: False)
         assert main(["preprocess", "--in", str(ws["ds"]), "--out", str(tmp_path / "ref")]) == 0
-        for name in ("dataset.csv", "labels.csv", "preprocess_report.json"):
+        for name in ("dataset.csv", "dataset.npz", "labels.csv", "preprocess_report.json"):
             assert (d / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
-        assert sorted(os.listdir(d)) == ["dataset.csv", "labels.csv", "manifest.json", "preprocess_report.json"]
+        assert sorted(os.listdir(d)) == ["dataset.csv", "dataset.npz", "labels.csv", "manifest.json",
+                                         "preprocess_report.json"]
 
 
 class TestInputDigests:

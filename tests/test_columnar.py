@@ -2,6 +2,8 @@
 against one-parcel-at-a-time averaging, and CLI stages that never build a
 per-pixel object."""
 
+import builtins
+import io
 from pathlib import Path
 
 import numpy as np
@@ -234,34 +236,77 @@ def test_rule_commands_format_no_cell_they_read(tmp_path, monkeypatch):
         assert formatted == [], argv[0]
 
 
+def _rule_steps(tmp_path: Path) -> list[tuple[list[str], Path]]:
+    """preprocess, detect --fill akima and eval --in over a synth scene
+    written under `tmp_path`, each with the manifest it writes."""
+    scene, pre, events, score = tmp_path / "scene", tmp_path / "pre", tmp_path / "events.csv", tmp_path / "score"
+    assert main(["synth", "--out", str(scene), "--parcels", "12", "--pixels-per-parcel", "4",
+                 "--regions", "2", "--seed", "5"]) == 0
+    return [
+        (["preprocess", "--in", str(scene), "--out", str(pre)], pre / "manifest.json"),
+        (["detect", "--in", str(pre), "--out", str(events), "--fill", "akima", "--algo", "mda2"],
+         tmp_path / "events.manifest.json"),
+        (["eval", "--pred", str(events), "--truth", str(scene / "labels.csv"), "--in", str(scene),
+          "--out", str(score)], score / "manifest.json"),
+    ]
+
+
 def test_rule_commands_hash_no_dataset_they_read(tmp_path, monkeypatch):
-    """preprocess, detect and eval --in record the dataset.csv they read by
-    the digest its read took, without hashing it again; every file they
-    write is still hashed for the manifest."""
-    hashed = []
-    sha256_file = fileio.sha256_file
+    """preprocess, detect and eval --in open each input dataset.csv once to
+    read and hash it (preprocess opens it again to copy its text into the
+    file it writes), and record the digest that read took; they record each
+    dataset file they write by the digest taken as it was written.  Every
+    digest a manifest records is that of the file after the command."""
+    steps = _rule_steps(tmp_path)
+    opened, hashed = [], []
+    builtin_open, sha256_file = open, fileio.sha256_file
+
+    def counted_open(file, *args, **kwargs):
+        if isinstance(file, (str, Path)):
+            opened.append(Path(file).resolve())
+        return builtin_open(file, *args, **kwargs)
 
     def counted_sha256_file(path):
         hashed.append(Path(path).resolve())
         return sha256_file(path)
 
-    monkeypatch.setattr(fileio, "sha256_file", counted_sha256_file)
-    monkeypatch.setattr(cli, "sha256_file", counted_sha256_file)
-    scene, events, score = tmp_path / "scene", tmp_path / "events.csv", tmp_path / "score"
-    assert main(["synth", "--out", str(scene), "--parcels", "12", "--pixels-per-parcel", "4",
-                 "--regions", "2", "--seed", "5"]) == 0
-    steps = [
-        (["preprocess", "--in", str(scene), "--out", str(tmp_path / "pre")], tmp_path / "pre" / "manifest.json"),
-        (["detect", "--in", str(scene), "--out", str(events), "--fill", "akima", "--algo", "mda2"],
-         tmp_path / "events.manifest.json"),
-        (["eval", "--pred", str(events), "--truth", str(scene / "labels.csv"), "--in", str(scene),
-          "--out", str(score)], score / "manifest.json"),
-    ]
-    for argv, manifest in steps:
+    for module, name, wrapper in [(builtins, "open", counted_open), (io, "open", counted_open),
+                                  (fileio, "sha256_file", counted_sha256_file),
+                                  (cli, "sha256_file", counted_sha256_file)]:
+        monkeypatch.setattr(module, name, wrapper)
+    for (argv, manifest), opens in zip(steps, (2, 1, 1)):
+        opened.clear()
         hashed.clear()
         assert main(argv) == 0, argv
+        command_opened, command_hashed = list(opened), list(hashed)
         recorded = fileio.read_manifest(manifest)
-        assert f"{scene}/dataset.csv" in recorded["inputs"], argv[0]
-        assert (scene / "dataset.csv").resolve() not in hashed, argv[0]
-        outputs = {(manifest.parent / key).resolve() for key in recorded["outputs"]}
-        assert outputs and outputs <= set(hashed), argv[0]
+        csv_inputs = [Path(key).resolve() for key in recorded["inputs"] if key.endswith("/dataset.csv")]
+        assert csv_inputs, argv[0]
+        for csv in csv_inputs:
+            assert command_opened.count(csv) == opens, argv[0]
+            assert command_hashed.count(csv) <= 1, argv[0]
+        written = {(manifest.parent / key).resolve() for key in recorded["outputs"]}
+        assert not {p for p in written if p.name in ("dataset.csv", "dataset.npz")} & set(command_hashed), argv[0]
+        for key, digest in list(recorded["inputs"].items()) + list(recorded["outputs"].items()):
+            assert digest == sha256_file(manifest.parent / key), (argv[0], key)
+
+
+def test_rule_commands_parse_no_dataset_with_a_valid_copy(tmp_path, monkeypatch):
+    """preprocess, detect and eval --in read every input dataset from its
+    copy: numpy's text parser reads no dataset.csv."""
+    steps = _rule_steps(tmp_path)
+    parsed = []
+    loadtxt = np.loadtxt
+
+    def counted_loadtxt(*args, **kwargs):
+        parsed.append(args[0])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+    for argv, _ in steps:
+        assert main(argv) == 0, argv
+        assert parsed == [], argv[0]
+    # the counter does see a parse when there is no copy
+    (tmp_path / "pre" / "dataset.npz").unlink()
+    read_dataset(tmp_path / "pre")
+    assert parsed

@@ -3,8 +3,12 @@ container, layered configuration, and run manifests."""
 
 import contextlib
 import dataclasses
+import io
 import json
 import os
+import zipfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -430,7 +434,269 @@ class TestSplicedWrite:
         with pytest.raises(OSError, match="disk full"):
             write_dataset(derived, tmp_path)
         assert (tmp_path / "dataset.csv").read_bytes() == before
-        assert sorted(os.listdir(tmp_path)) == ["dataset.csv", "labels.csv"]
+        assert sorted(os.listdir(tmp_path)) == ["dataset.csv", "dataset.npz", "labels.csv"]
+        monkeypatch.undo()
+        _assert_read_through_copy(tmp_path)
+
+
+def _parsed(directory) -> Dataset:
+    """The dataset read from `directory` with its copy set aside, so parsed
+    from dataset.csv."""
+    copy = directory / fileio.COPY_FILE
+    aside = copy.with_name("aside.npz")
+    copy.rename(aside)
+    try:
+        return read_dataset(directory)
+    finally:
+        aside.rename(copy)
+
+
+def _assert_bit_identical(got: Dataset, want: Dataset) -> None:
+    for a, b in zip((got.pixel_ids, got.pixel_parcel_ids, got.pixel_region_ids),
+                    (want.pixel_ids, want.pixel_parcel_ids, want.pixel_region_ids)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.grid == want.grid
+    assert got.ndvi.tobytes() == want.ndvi.tobytes()
+    assert got.sar.tobytes() == want.sar.tobytes()
+    assert got.labels == want.labels
+    assert got.source.digest == want.source.digest == sha256_file(got.source.path)
+
+
+def _assert_read_through_copy(directory) -> Dataset:
+    """`directory` reads through its copy, bit for bit as dataset.csv parses."""
+    got = read_dataset(directory)
+    assert got.source.copy_digest == sha256_file(directory / fileio.COPY_FILE)
+    want = _parsed(directory)
+    assert want.source.copy_digest is None
+    _assert_bit_identical(got, want)
+    return got
+
+
+def _copy_members(directory) -> dict[str, np.ndarray]:
+    with np.load(directory / fileio.COPY_FILE) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def _write_members(directory, members: dict, redigest: bool) -> None:
+    """Replace `directory`'s copy by one of `members`, with their digest
+    recomputed (as a forger would) when `redigest`."""
+    if redigest:
+        members = dict(members, digest=np.array(fileio._copy_digest(members)))
+    with open(directory / fileio.COPY_FILE, "wb") as fh:
+        np.savez(fh, **members)
+
+
+def _swap(members, name, value):
+    return dict(members, **{name: value})
+
+
+def _without(members, name):
+    return {k: v for k, v in members.items() if k != name}
+
+
+# (edit of a copy's members, whether the digest is recomputed): each gives a
+# copy that no read may use
+_BAD_COPIES = {
+    "stale_csv_digest": (lambda m: _swap(m, "csv_sha256", np.array("sha256:" + "0" * 64)), True),
+    "ndvi_changed": (lambda m: _swap(m, "ndvi", np.where(np.isnan(m["ndvi"]), 0.5, m["ndvi"])), False),
+    "radar_byte_flipped": (lambda m: _swap(m, "coh_vv", (m["coh_vv"].view(np.uint8) ^ 1).view(np.float64)), False),
+    "ndvi_float32": (lambda m: _swap(m, "ndvi", m["ndvi"].astype(np.float32)), True),
+    "ids_int32": (lambda m: _swap(m, "pixel_id", m["pixel_id"].astype(np.int32)), True),
+    "ndvi_short": (lambda m: _swap(m, "ndvi", m["ndvi"][:, :-1].copy()), True),
+    "radar_one_row": (lambda m: _swap(m, "sig_vv_db", m["sig_vv_db"][:1].copy()), True),
+    "ids_reversed": (lambda m: _swap(m, "pixel_id", m["pixel_id"][::-1].copy()), True),
+    "no_pixels": (lambda m: {k: v[:0] if v.ndim else v for k, v in m.items()} | {"grid": m["grid"]}, True),
+    "grid_scalar": (lambda m: _swap(m, "grid", m["grid"][:1].copy()), True),
+    "grid_invalid": (lambda m: _swap(m, "grid", np.array([0, 6, m["grid"][2]])), True),
+    "coherence_out_of_range": (lambda m: _swap(m, "coh_vh", m["coh_vh"] + 2.0), True),
+    "object_ids": (lambda m: _swap(m, "parcel_id", m["parcel_id"].astype(object)), False),
+    "missing_member": (lambda m: _without(m, "region_id"), False),
+    "missing_digest": (lambda m: _without(m, "digest"), False),
+    "digest_as_bytes": (lambda m: _swap(m, "digest", np.array(str(m["digest"]).encode())), False),
+}
+
+
+class TestBinaryCopy:
+    """dataset.npz, written beside every dataset.csv, is read in its place
+    when it records that file's digest and its own digest checks; it then
+    gives the parse's dataset bit for bit.  Any other copy is set aside."""
+
+    @pytest.fixture(scope="class")
+    def written(self, tiny_model, tmp_path_factory):
+        """Every dataset directory the CLI writes, on a small synth scene."""
+        root = tmp_path_factory.mktemp("copies")
+        save_model(tiny_model, root / "m.gfm")
+        scene, model = str(root / "scene"), str(root / "m.gfm")
+        runs = {
+            "synth": ["synth", "--out", scene, "--parcels", "12", "--pixels-per-parcel", "3", "--regions", "2",
+                      "--seed", "7"],
+            "pre": ["preprocess", "--in", scene, "--out", str(root / "pre")],
+            "dropped": ["preprocess", "--in", scene, "--out", str(root / "dropped"), "--drop-noncompliant"],
+            **{m: ["gapfill", "--in", scene, "--out", str(root / m), "--method", m]
+               for m in ("akima", "linear", "quadratic")},
+            "sf": ["gapfill", "--in", scene, "--out", str(root / "sf"), "--method", "sf", "--model", model,
+                   "--cloud-filter"],
+            "clear": ["cloudfilter", "--in", scene, "--out", str(root / "clear"), "--model", model],
+        }
+        for argv in runs.values():
+            assert main(argv) == 0, argv
+        return {name: Path(argv[argv.index("--out") + 1]) for name, argv in runs.items()}
+
+    @pytest.mark.parametrize("name", ["synth", "pre", "dropped", "akima", "linear", "quadratic", "sf", "clear"])
+    def test_cli_outputs_read_as_they_parse(self, written, name):
+        directory = written[name]
+        got = _assert_read_through_copy(directory)
+        manifest = read_manifest(directory / "manifest.json")
+        assert manifest["outputs"]["dataset.npz"] == got.source.copy_digest
+
+    @pytest.mark.parametrize("ndvi", [[0.25], [-0.0], [np.nan], [np.uint64(0x7FF8_DEAD_0000_0001).view(np.float64)],
+                                      [np.copysign(np.nan, -1.0)]], ids=["value", "-0.0", "nan", "nan-payload",
+                                                                         "-nan"])
+    def test_one_step_grid_and_ndvi_bits(self, tmp_path, ndvi):
+        """A one-step grid reads back with the default step; -0.0 keeps its
+        sign; an empty cell reads as the canonical NaN, whatever NaN was
+        written."""
+        base = _two_pixel_dataset()
+        grid = TemporalGrid(start_doy=40, step_days=11, length=1)
+        ds = Dataset(grid, base.pixel_ids, base.pixel_parcel_ids, base.pixel_region_ids,
+                     np.array([ndvi, [0.5]]), base.sar[:, :1], base.labels)
+        write_dataset(ds, tmp_path)
+        got = _assert_read_through_copy(tmp_path)
+        assert got.grid == TemporalGrid(start_doy=40, step_days=6, length=1)
+        want = np.array([0.5, ndvi[0] if not np.isnan(ndvi[0]) else np.nan])  # pixel 2 first
+        assert got.ndvi.ravel().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("chunk_bytes", [128, 300, 1 << 20])
+    def test_without_its_copy_a_written_file_is_parsed_by_the_c_parser_alone(self, synth, tmp_path, monkeypatch,
+                                                                              chunk_bytes):
+        """With its copy gone, a file as `write_dataset` writes it never
+        reaches the csv path, in one chunk or in many."""
+        write_dataset(synth.dataset, tmp_path)
+        want = read_dataset(tmp_path)
+        (tmp_path / "dataset.npz").unlink()
+        (tmp_path / "labels.csv").unlink()  # read_labels tokenizes with csv.reader
+        refuse = mock.Mock(side_effect=AssertionError("the csv path was taken"))
+        monkeypatch.setattr(fileio, "_READ_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(fileio.csv, "reader", refuse)
+        monkeypatch.setattr(fileio, "_convert_cells", refuse)
+        got = read_dataset(tmp_path)
+        assert got.source.copy_digest is None
+        _assert_bit_identical(got, want.select(labels={}))
+
+    def test_golden_dataset_reads_through_copy(self, tmp_path):
+        write_dataset(_two_pixel_dataset(), tmp_path)
+        _assert_read_through_copy(tmp_path)
+
+    def test_same_dataset_same_bytes(self, synth, tmp_path):
+        write_dataset(synth.dataset, tmp_path / "a")
+        write_dataset(read_dataset(tmp_path / "a"), tmp_path / "b")
+        assert (tmp_path / "a" / "dataset.npz").read_bytes() == (tmp_path / "b" / "dataset.npz").read_bytes()
+
+    def test_write_returns_the_digests_written(self, synth, tmp_path):
+        digests = write_dataset(synth.dataset, tmp_path)
+        assert digests == {name: sha256_file(tmp_path / name) for name in ("dataset.csv", "dataset.npz")}
+        digests = write_dataset(read_dataset(tmp_path).select(ndvi=np.nan_to_num(synth.dataset.ndvi)), tmp_path)
+        assert digests == {name: sha256_file(tmp_path / name) for name in ("dataset.csv", "dataset.npz")}
+
+    def test_csv_edited_after_the_write_is_parsed(self, synth, tmp_path):
+        write_dataset(synth.dataset, tmp_path)
+        p = tmp_path / "dataset.csv"
+        lines = p.read_text().splitlines()
+        parts = lines[1].split(",")
+        parts[5] = "0.125"
+        lines[1] = ",".join(parts)
+        p.write_text("\n".join(lines) + "\n")
+        got = read_dataset(tmp_path)
+        assert got.source.copy_digest is None and got.source.digest == sha256_file(p)
+        row = int(np.flatnonzero(got.pixel_ids == int(parts[0]))[0])
+        assert got.ndvi[row, int(parts[3])] == 0.125
+
+    def test_ids_beyond_int64_get_no_copy(self, synth, tmp_path):
+        _write_rows(tmp_path / "big", [(2 ** 70, 2, 3, 0, 100, 0.5, -12.0, -18.0, 0.4, 0.3)])
+        big = read_dataset(tmp_path / "big")
+        assert write_dataset(big, tmp_path / "again") == {
+            "dataset.csv": sha256_file(tmp_path / "again" / "dataset.csv")}
+        assert sorted(os.listdir(tmp_path / "again")) == ["dataset.csv", "labels.csv"]
+        # a copy left by an earlier write goes
+        write_dataset(synth.dataset, tmp_path / "old")
+        write_dataset(big, tmp_path / "old")
+        assert sorted(os.listdir(tmp_path / "old")) == ["dataset.csv", "labels.csv"]
+
+    @pytest.mark.parametrize("case", sorted(_BAD_COPIES))
+    def test_bad_copy_is_parsed(self, synth, tmp_path, case):
+        """A copy that does not hold what dataset.csv parses to, or that no
+        longer loads, is set aside: the read parses dataset.csv and the CLI
+        runs on it."""
+        write_dataset(synth.dataset, tmp_path / "d")
+        edit, redigest = _BAD_COPIES[case]
+        _write_members(tmp_path / "d", edit(_copy_members(tmp_path / "d")), redigest)
+        self._assert_parsed(tmp_path)
+
+    @pytest.mark.parametrize("cut", [0, 1, 100, 0.5, -1])
+    def test_truncated_copy_is_parsed(self, synth, tmp_path, cut):
+        write_dataset(synth.dataset, tmp_path / "d")
+        copy = tmp_path / "d" / "dataset.npz"
+        data = copy.read_bytes()
+        copy.write_bytes(data[:int(cut * len(data)) if isinstance(cut, float) else cut % len(data)])
+        self._assert_parsed(tmp_path)
+
+    @pytest.mark.parametrize("content", [b"", b"not a copy", b"\x93NUMPY", b"PK\x05\x06" + bytes(18)])
+    def test_foreign_copy_is_parsed(self, synth, tmp_path, content):
+        write_dataset(synth.dataset, tmp_path / "d")
+        (tmp_path / "d" / "dataset.npz").write_bytes(content)
+        self._assert_parsed(tmp_path)
+
+    def test_copy_of_another_csv_is_parsed(self, synth, tmp_path):
+        """A copy written beside an older dataset.csv records that file's
+        digest, not the new one's."""
+        d = tmp_path / "d"
+        write_dataset(synth.dataset, d)
+        old = (d / "dataset.npz").read_bytes()
+        write_dataset(synth.dataset.select(ndvi=np.nan_to_num(synth.dataset.ndvi)), d)
+        (d / "dataset.npz").write_bytes(old)
+        self._assert_parsed(tmp_path)
+
+    @staticmethod
+    def _assert_parsed(tmp_path) -> None:
+        d = tmp_path / "d"
+        got = read_dataset(d)
+        assert got.source.copy_digest is None
+        _assert_bit_identical(got, _parsed(d))
+        assert main(["preprocess", "--in", str(d), "--out", str(tmp_path / "out")]) == 0
+        inputs = read_manifest(tmp_path / "out" / "manifest.json")["inputs"]
+        assert inputs[f"{d}/dataset.npz"] == sha256_file(d / "dataset.npz")
+
+    def test_every_single_byte_mutation_reads_as_the_csv_parses(self, tmp_path):
+        """Each byte of a small copy flipped, and the copy cut at each
+        length, one file at a time: every read gives the parse's dataset,
+        through the copy only where the change left its arrays whole."""
+        grid = TemporalGrid(start_doy=100, step_days=6, length=2)
+        base = _two_pixel_dataset()
+        write_dataset(Dataset(grid, base.pixel_ids, base.pixel_parcel_ids, base.pixel_region_ids, base.ndvi,
+                              base.sar, base.labels), tmp_path)
+        want = _parsed(tmp_path)
+        copy = tmp_path / "dataset.npz"
+        data = copy.read_bytes()
+        used = []
+        mutations = [data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:] for at in range(len(data))]
+        mutations += [data[:size] for size in range(len(data))]
+        for k, mutated in enumerate(mutations):
+            copy.write_bytes(mutated)
+            got = read_dataset(tmp_path)
+            try:
+                _assert_bit_identical(got, want)
+            except AssertionError as e:
+                raise AssertionError(f"mutation {k} of {len(mutations)}: {e}") from None
+            used.append(got.source.copy_digest is not None)
+        assert not any(used[len(data):]), "a truncated copy was used"
+        # a copy whose array bytes changed is never used: the flips that
+        # leave it usable lie in zip fields that no read checks
+        with zipfile.ZipFile(io.BytesIO(data)) as zf:
+            sizes = [info.file_size for info in zf.infolist()]
+        starts = [at for at in range(len(data)) if data.startswith(b"\x93NUMPY", at)]
+        assert len(starts) == len(sizes) == 11
+        assert not any(used[at] for lo, size in zip(starts, sizes) for at in range(lo, lo + size))
+        assert 0 < sum(used) < len(data) // 4
 
 
 class TestMaskPools:
@@ -456,6 +722,31 @@ class TestMaskPools:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(FileFormatError):
             read_mask_pools(p)
+
+    @pytest.mark.parametrize("value", [2 ** 63, -2 ** 63 - 1, 10 ** 400])
+    @pytest.mark.parametrize("column", ["mask_id", "region_id"])
+    def test_id_outside_int64_names_its_row_and_column(self, synth, tmp_path, column, value):
+        """An id past int64 is refused at its row and column, and the CLI
+        exits 2; the ids at the ends of the range are kept."""
+        p = tmp_path / "masks.csv"
+        write_mask_pools(dict(synth.pools), p)
+        lines = p.read_text().splitlines()
+        at = ["mask_id", "region_id"].index(column)
+        parts = lines[2].split(",")
+        parts[at] = str(value)
+        edited = lines[:2] + [",".join(parts)] + lines[3:]
+        p.write_text("\n".join(edited) + "\n")
+        with pytest.raises(FileFormatError, match="id outside the int64 range") as err:
+            read_mask_pools(p)
+        assert (err.value.row, err.value.column) == (3, column)
+        write_dataset(synth.dataset, tmp_path / "ds")
+        assert main(["train", "--in", str(tmp_path / "ds"), "--masks", str(p), "--out", str(tmp_path / "m.gfm"),
+                     "--epochs", "1"]) == 2
+        parts[at] = str(2 ** 63 - 1 if value > 0 else -2 ** 63)
+        p.write_text("\n".join(lines[:2] + [",".join(parts)] + lines[3:]) + "\n")
+        pools = read_mask_pools(p)
+        ids = [m.mask_id if column == "mask_id" else m.region_id for pool in pools.values() for m in pool.masks]
+        assert int(parts[at]) in ids
 
     def test_duplicate_mask_id_rejected(self, synth, tmp_path):
         p = tmp_path / "masks.csv"
@@ -761,7 +1052,9 @@ class TestAtomicWrites:
         with pytest.raises(OSError, match="disk full"):
             write_dataset(synth.dataset, tmp_path)
         assert (tmp_path / "dataset.csv").read_bytes() == before
-        assert sorted(os.listdir(tmp_path)) == ["dataset.csv", "labels.csv"]
+        assert sorted(os.listdir(tmp_path)) == ["dataset.csv", "dataset.npz", "labels.csv"]
+        monkeypatch.undo()
+        _assert_read_through_copy(tmp_path)
 
     def test_overwrite_in_place(self, tmp_path):
         p = tmp_path / "f.txt"
