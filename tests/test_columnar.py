@@ -254,9 +254,10 @@ def _rule_steps(tmp_path: Path) -> list[tuple[list[str], Path]]:
 def test_rule_commands_hash_no_dataset_they_read(tmp_path, monkeypatch):
     """preprocess, detect and eval --in open each input dataset.csv once to
     read and hash it (preprocess opens it again to copy its text into the
-    file it writes), and record the digest that read took; they record each
-    dataset file they write by the digest taken as it was written.  Every
-    digest a manifest records is that of the file after the command."""
+    file it writes) and its dataset.npz once, and record the digests that
+    read took; they record each dataset file they write by the digest taken
+    as it was written.  Every digest a manifest records is that of the file
+    after the command."""
     steps = _rule_steps(tmp_path)
     opened, hashed = [], []
     builtin_open, sha256_file = open, fileio.sha256_file
@@ -285,6 +286,8 @@ def test_rule_commands_hash_no_dataset_they_read(tmp_path, monkeypatch):
         for csv in csv_inputs:
             assert command_opened.count(csv) == opens, argv[0]
             assert command_hashed.count(csv) <= 1, argv[0]
+            copy = csv.with_name("dataset.npz")
+            assert command_opened.count(copy) == 1 and copy not in command_hashed, argv[0]
         written = {(manifest.parent / key).resolve() for key in recorded["outputs"]}
         assert not {p for p in written if p.name in ("dataset.csv", "dataset.npz")} & set(command_hashed), argv[0]
         for key, digest in list(recorded["inputs"].items()) + list(recorded["outputs"].items()):
