@@ -71,15 +71,19 @@ from .sfmodel import FILL_METHODS, assemble_training_set, fill_batch, train
 
 class _Run:
     """Tracks inputs/outputs of one command for the manifest, and removes
-    partial outputs when the command fails."""
+    the outputs it created when the command fails."""
 
-    def __init__(self, command: str, argv: list[str], config: RunConfig):
+    def __init__(self, command: str, argv: list[str], config: RunConfig, out: Path):
         self.command = command
         self.argv = list(argv)
         self.config = config
         self.inputs: dict[str, str] = {}
         # each output, and its digest when known as it was written
         self._written: dict[Path, str | None] = {}
+        # what the directory of the outputs held before the command: a file
+        # the command replaced stays on failure, whole since writes are atomic
+        where = out if out.is_dir() else out.parent
+        self._before = set(where.iterdir()) if where.is_dir() else set()
 
     def record_input(self, path, known: Mapping[str, str | None] | None = None) -> None:
         """Record the digest of the file `path`, or of every file under the
@@ -131,7 +135,7 @@ class _Run:
         write_manifest(manifest_path, self.command, self.argv, self.config, self.inputs, outputs)
 
     def cleanup(self) -> None:
-        for p in self._written:
+        for p in self._written.keys() - self._before:
             try:
                 p.unlink(missing_ok=True)
             except OSError:
@@ -618,7 +622,7 @@ def main(argv: list[str] | None = None) -> int:
     run = None
     try:
         config = _resolve_config(args)
-        run = _Run(args.command, raw_argv, config)
+        run = _Run(args.command, raw_argv, config, Path(args.out))
         _HANDLERS[args.command](args, config, run)
         return 0
     except (ValueError, OSError) as e:

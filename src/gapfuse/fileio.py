@@ -12,15 +12,10 @@ repr so values round-trip bit-exactly):
 * masks.csv    mask_id, region_id, bit_0..bit_{T-1}
 * events.csv   parcel_id, event_doy, score (empty pair = no events found)
 
-dataset.csv is read a bounded chunk of about 1 MB of whole lines at a time
-by numpy's C parser, which takes the bytes as read (the NDVI column as text,
-converted once per chunk) and whose read hashes the file for the splice and
-the manifest.  A chunk that parser could read otherwise than
-Python's `int()`/`float()` (a byte other than digits, signs, `.`, `e`,
-commas and newlines, a blank line, a failed parse, a non-finite value) is
-left, with the rest of the file, to the `csv` module and per-column
-`int()`/`float()`, which alone reject cells and name the row and column of
-an error.  A dataset derived from one that was read with its ids, radar
+dataset.csv is parsed by the `csv` module a bounded chunk of rows at a time,
+each column converted by `int()`/`float()`; the parse names the row and
+column of every error, and hashes the bytes it reads for the splice and the
+manifest.  A dataset derived from one that was read with its ids, radar
 block and grid kept is written from the file it was read from: the NDVI
 cells whose values changed are written anew and every other byte is copied
 (see `write_dataset`).
@@ -55,7 +50,6 @@ import math
 import operator
 import os
 import tempfile
-import warnings
 import zipfile
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -249,17 +243,10 @@ _INT_COLUMNS = DATASET_HEADER[:5]
 # a 20,000-pixel read, against 11 with 2,048-row chunks)
 _WRITE_CHUNK_PIXELS = 512
 _READ_CHUNK_ROWS = 1024
-# bytes of whole lines read per chunk by numpy's C parser: bounds the memory
-# that the raw text and its parse take at once, whatever the file's size
+# bytes of whole lines copied per block by the splice: bounds the memory that
+# the raw text takes at once, whatever the file's size
 _READ_CHUNK_BYTES = 1 << 20
 _HEADER_LINE = (",".join(DATASET_HEADER) + "\n").encode()
-# the only bytes a chunk may hold for the C parser to read it (see `_parse_chunk`)
-_CHUNK_BYTES = b"0123456789+-.eE,\n"
-# NDVI is taken as its text, so that an empty cell needs no rewrite of the
-# chunk; a cell that fills the field may have been cut short
-_NDVI_CELL = np.dtype("S32")
-_CHUNK_DTYPE = np.dtype([(name, np.int64) for name in _INT_COLUMNS] + [("ndvi", _NDVI_CELL)]
-                        + [(name, np.float64) for name in DATASET_HEADER[6:]])
 
 
 def _dataset_rows(chunk: tuple[list[tuple[int, int, int]], np.ndarray, np.ndarray],
@@ -283,14 +270,13 @@ def _dataset_rows(chunk: tuple[list[tuple[int, int, int]], np.ndarray, np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class _Source:
-    """A dataset.csv read from its copy, or that numpy's C parser read whole
-    and whose rows came in `write_dataset` order: the file, the
-    `sha256_file` digest of its bytes as read (the whole file, header
-    included), and the grid and arrays read, which are the read dataset's
-    own, so that a dataset derived from it is known by sharing them (see
-    `write_dataset`).  The digest is also the one a run's manifest records
-    for the file, and `copy_digest`, that of the dataset.npz read in its
-    place (None when the file was parsed)."""
+    """A dataset.csv read from its copy, or parsed with its rows in
+    `write_dataset` order: the file, the `sha256_file` digest of its bytes
+    as read (the whole file, header included), and the grid and arrays
+    read, which are the read dataset's own, so that a dataset derived from
+    it is known by sharing them (see `write_dataset`).  The digest is also
+    the one a run's manifest records for the file, and `copy_digest`, that
+    of the dataset.npz read in its place (None when the file was parsed)."""
 
     path: Path
     digest: str
@@ -310,17 +296,17 @@ def _splice_rows(src, out, ndvi: np.ndarray, changed: np.ndarray, digest: str) -
     `_READ_CHUNK_BYTES` of whole lines at a time, with the NDVI cell of each
     row `changed` marks written from that row's `ndvi` value (by repr, empty
     for NaN) and a newline after a last line that lacks one; returns the
-    `sha256_file` digest of the bytes written.  A header, a line of another
-    field count, a row count or a whole-file digest other than the file that
-    was read raises `_SourceChanged`."""
-    if src.readline(len(_HEADER_LINE)) != _HEADER_LINE:
-        raise _SourceChanged
-    out.write(_HEADER_LINE)
+    `sha256_file` digest of the bytes written.  The header line is copied as
+    it is, line end included.  A line of another field count, a row count or
+    a whole-file digest other than the file that was read raises
+    `_SourceChanged`."""
+    header = src.readline(_READ_CHUNK_BYTES)
+    out.write(header)
     width = len(DATASET_HEADER) - 1  # commas per line
     at_ndvi = DATASET_HEADER.index("ndvi")
-    h, written = hashlib.sha256(_HEADER_LINE), hashlib.sha256(_HEADER_LINE)
+    h, written = hashlib.sha256(header), hashlib.sha256(header)
     row = 0
-    for _, block in _line_blocks(src, len(_HEADER_LINE)):
+    for block in _line_blocks(src):
         if not block:
             raise _SourceChanged
         h.update(block)
@@ -556,49 +542,11 @@ def _convert_column(name: str, cells: tuple[str, ...]) -> tuple[np.ndarray, np.n
     return arr, bad | (~np.isfinite(arr) & ~empty)
 
 
-def _parse_chunk(chunk: bytes) -> dict[str, np.ndarray] | None:
-    """The columns of the rows of `chunk`, whole dataset.csv lines, parsed as
-    they are by numpy's C parser into `_CHUNK_DTYPE`, with the NDVI text then
-    converted in one pass (an empty cell is NaN, any other goes through
-    `astype(np.float64)`, which parses as `float()` does); or None when the
-    chunk is left to the csv path because the C parser could read it
-    otherwise than `_convert_column` does:
-    * a byte outside `_CHUNK_BYTES` (a literal nan or inf, a quote, `\\r`, a
-      pad, a `#`, an underscore, non-ASCII text);
-    * a line the parser skips (a blank line) or a failed parse (a wrong field
-      count, a bad or out-of-range number, an NDVI cell `float()` refuses;
-      warnings count as failures, since numpy before 2.0 reads `1.0` into an
-      int column with a warning);
-    * an NDVI cell that fills `_NDVI_CELL`, which may have been cut short;
-    * a non-finite value other than an empty NDVI cell (`1e999` is inf)."""
-    if chunk.translate(None, _CHUNK_BYTES):
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            rows = np.loadtxt(io.BytesIO(chunk), dtype=_CHUNK_DTYPE, delimiter=",", comments=None, ndmin=1)
-            if rows.shape[0] != chunk.count(b"\n") + (not chunk.endswith(b"\n")):
-                return None
-            cells = rows["ndvi"]
-            lengths = np.char.str_len(cells)
-            if (lengths == _NDVI_CELL.itemsize).any():
-                return None
-            present = lengths > 0
-            ndvi = np.full(cells.shape[0], np.nan)
-            ndvi[present] = cells[present].astype(np.float64)
-        except (ValueError, Warning):
-            return None
-    columns = {name: rows[name] for name in DATASET_HEADER}
-    columns["ndvi"] = ndvi
-    if np.isinf(ndvi).any() or not all(np.isfinite(columns[c]).all() for c in _RAW_TO_CHANNEL):
-        return None
-    return columns
-
-
-def _line_blocks(fh, offset: int):
-    """(offset, block) for the blocks of about `_READ_CHUNK_BYTES` of whole
-    lines of the binary file `fh`, from `offset` to its end.  A line longer
-    than a block gives an empty block, the last one."""
+def _line_blocks(fh):
+    """The blocks of about `_READ_CHUNK_BYTES` of whole lines of the binary
+    file `fh`, from its position to its end.  A line longer than a block
+    gives an empty block, the last one."""
+    offset = fh.tell()
     while True:
         fh.seek(offset)
         block = fh.read(_READ_CHUNK_BYTES)
@@ -607,66 +555,55 @@ def _line_blocks(fh, offset: int):
         # a short read ends at the end of the file, whose last line may lack
         # its newline
         size = len(block) if len(block) < _READ_CHUNK_BYTES else block.rfind(b"\n") + 1
-        yield offset, block[:size]
+        yield block[:size]
         if not size:
             return
         offset += size
 
 
-def _parse_chunks(fh) -> tuple[list[dict[str, np.ndarray]], int | None, str | None]:
-    """The data rows that numpy's C parser reads from the start of the binary
-    dataset.csv `fh`, as `_parse_chunk` columns of about `_READ_CHUNK_BYTES`
-    of lines each; the byte offset at which the csv path takes over (None
-    when the parser reads the whole file, 0 when the first line is not
-    exactly the header); and, when it reads the whole file, the
-    `sha256_file` digest of the bytes it parsed, which are the whole file
-    (else None)."""
-    chunks: list[dict[str, np.ndarray]] = []
-    if fh.readline(len(_HEADER_LINE)) != _HEADER_LINE:
-        return chunks, 0, None
-    h = hashlib.sha256(_HEADER_LINE)
-    for offset, block in _line_blocks(fh, len(_HEADER_LINE)):
-        # a line longer than a block goes to the csv path
-        rows = _parse_chunk(block) if block else None
-        if rows is None:
-            return chunks, offset, None
-        h.update(block)
-        chunks.append(rows)
-    return chunks, None, _digest_text(h)
+class _HashedReader(io.RawIOBase):
+    """The binary file `fh` read through, each byte read also hashed into
+    `sha256`."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.sha256 = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self.fh.readinto(buf)
+        self.sha256.update(memoryview(buf)[:n])
+        return n
 
 
 def _read_dataset_columns(csv_path, fh):
     """Read the data rows of the binary dataset.csv `fh` into columns.
 
-    Numpy's C parser reads whole chunks while it can (`_parse_chunks`).  From
-    the first chunk it leaves, or from the header when that is not exactly
-    the expected line, to the end of the file, the `csv` module tokenizes
-    `_READ_CHUNK_ROWS` rows at a time and each column of those rows is
-    converted in one pass; only this path rejects cells and names errors.
+    The `csv` module tokenizes `_READ_CHUNK_ROWS` rows at a time and each
+    column of those rows is converted in one pass; the bytes it reads are
+    hashed as they are read.
 
     Returns (columns, invalid, last, stop, digest):
     * columns: name -> array over the rows read (see `_convert_column`);
     * invalid: name -> mask of the cells the column's parser rejects;
-    * last: (index of its first row, its raw columns) of the last csv chunk;
+    * last: (index of its first row, its raw columns) of the last chunk;
     * stop: the error of the row that ended the reading early, a wrong field
       count or a tokenizer error, or None;
-    * digest: the `sha256_file` digest of the file when numpy's C parser
-      read it all, else None.
-    Reading stops after a csv chunk with an invalid cell, since no later row
-    can hold the first error."""
+    * digest: the `sha256_file` digest of the bytes read, which are the
+      whole file when neither `stop` nor an invalid cell ended the reading.
+    Reading stops after a chunk with an invalid cell, since no later row can
+    hold the first error."""
     width = len(DATASET_HEADER)
-    chunks, offset, digest = _parse_chunks(fh)
-    n = sum(rows["pixel_id"].shape[0] for rows in chunks)
-    parts = {name: [rows[name] for rows in chunks] for name in DATASET_HEADER}
-    invalid = {name: [np.zeros(n, dtype=bool)] for name in DATASET_HEADER}
-    reader = iter(())
-    if offset is not None:
-        fh.seek(offset)
-        reader = csv.reader(io.TextIOWrapper(fh, **_CSV_TEXT))
-    if offset == 0:
-        _, header = next(_csv_rows(csv_path, reader), (1, None))
-        _check_header(csv_path, header, DATASET_HEADER)
+    raw = _HashedReader(fh)
+    reader = csv.reader(io.TextIOWrapper(io.BufferedReader(raw), **_CSV_TEXT))
+    _, header = next(_csv_rows(csv_path, reader), (1, None))
+    _check_header(csv_path, header, DATASET_HEADER)
+    parts: dict[str, list[np.ndarray]] = {name: [] for name in DATASET_HEADER}
+    invalid = {name: [np.zeros(0, dtype=bool)] for name in DATASET_HEADER}
     last: tuple[int, list[tuple[str, ...]]] = (0, [])
+    n = 0
     stop = None
     while stop is None:
         rows: list[list[str]] = []
@@ -696,7 +633,7 @@ def _read_dataset_columns(csv_path, fh):
             break
     columns = {name: np.concatenate(p) if p else np.zeros(0, np.int64) for name, p in parts.items()}
     masks = {name: np.concatenate(p) for name, p in invalid.items()}
-    return columns, masks, last, stop, digest
+    return columns, masks, last, stop, _digest_text(raw.sha256)
 
 
 # the radar channels that derive from the backscatter columns alone; the
@@ -727,9 +664,9 @@ def _derive_columns(cols: Mapping[str, np.ndarray]) -> tuple[dict[str, np.ndarra
 
 def _parse_dataset(csv_path: Path) -> Dataset:
     """The dataset that dataset.csv `csv_path` holds, without labels, with
-    its `_Source` when numpy's C parser read the whole file and its rows
-    come in `write_dataset` order (see `read_dataset`)."""
-    with open(csv_path, "rb") as fh:
+    its `_Source` when its rows come in `write_dataset` order (see
+    `read_dataset`)."""
+    with open(csv_path, "rb", buffering=0) as fh:
         cols, invalid, last, stop, digest = _read_dataset_columns(csv_path, fh)
     pid, parcel, region, step, doy, ndvi = (cols[c] for c in DATASET_HEADER[:6])
     pixel_ids, first_of_pixel, pixel = np.unique(pid, return_index=True, return_inverse=True)
@@ -789,7 +726,7 @@ def _parse_dataset(csv_path: Path) -> Dataset:
     ndvi = ndvi[order].reshape(pixel_ids.shape[0], grid.length)
     sar = np.stack([channels[c] for c in SAR_CHANNELS], axis=1)[order].reshape(*ndvi.shape, len(SAR_CHANNELS))
     source = None
-    if digest is not None and np.array_equal(order, np.arange(order.shape[0])):
+    if np.array_equal(order, np.arange(order.shape[0])):
         source = _Source(csv_path.resolve(), digest, grid, ids, ndvi, sar)
     # the checks above are the constructor's radar checks, made on whole
     # columns, so the rows are not checked again (as in `Dataset.select`)
@@ -853,8 +790,7 @@ def read_dataset(path) -> Dataset:
     column that a row-by-row reader stopping at the first bad cell would
     name.  A parse reads each byte of dataset.csv once, after the hash that
     a copy which loads but records another digest takes; it records the
-    source when numpy's C parser read the whole file and its rows already
-    come in `write_dataset` order."""
+    source when the rows already come in `write_dataset` order."""
     path = Path(path)
     csv_path = path / DATASET_FILE
     if not csv_path.exists():

@@ -345,6 +345,31 @@ class TestExitCodes:
         assert not out.exists()
         assert not out.with_name(out.stem + ".manifest.json").exists()
 
+    @pytest.mark.parametrize("argv, blocker", [
+        (["preprocess"], "preprocess_report.json"),
+        (["gapfill", "--method", "linear"], "manifest.json"),
+    ], ids=["preprocess", "gapfill"])
+    def test_failed_run_keeps_the_files_it_replaced(self, ws, tmp_path, capsys, argv, blocker):
+        """A directory where the command writes a file fails it after the
+        dataset is written.  Run in place, the dataset files it replaced stay
+        as it wrote them; run into a new directory, the files it created go."""
+        d, new = tmp_path / "d", tmp_path / "new"
+        d.mkdir()
+        dataset_files = ["dataset.csv", "dataset.npz", "labels.csv"]
+        for name in dataset_files:
+            (d / name).write_bytes((ws["ds"] / name).read_bytes())
+        for out in (d, new):
+            (out / blocker / "x").mkdir(parents=True)
+        assert main([argv[0], "--in", str(d), "--out", str(d), *argv[1:]]) == 2
+        assert main([argv[0], "--in", str(ws["ds"]), "--out", str(new), *argv[1:]]) == 2
+        assert sorted(os.listdir(d)) == sorted(dataset_files + [blocker])
+        assert os.listdir(new) == [blocker]
+        (new / blocker / "x").rmdir()
+        (new / blocker).rmdir()
+        assert main([argv[0], "--in", str(ws["ds"]), "--out", str(new), *argv[1:]]) == 0
+        for name in dataset_files:
+            assert (d / name).read_bytes() == (new / name).read_bytes(), name
+
 
 class TestSynth:
     def test_outputs_and_manifest(self, ws):
@@ -412,8 +437,7 @@ class TestPreprocess:
 
 class TestInputDigests:
     """A dataset directory a command reads is recorded by the digest of each
-    of its files as read; dataset.csv's comes from the read itself when
-    numpy's C parser read it whole."""
+    of its files as read; dataset.csv's comes from the read itself."""
 
     def _copy(self, ws, d, newline=b"\n"):
         d.mkdir()
@@ -421,10 +445,10 @@ class TestInputDigests:
         (d / "labels.csv").write_bytes((ws["ds"] / "labels.csv").read_bytes())
         return {f"{d}/{name}": fileio.sha256_file(d / name) for name in ("dataset.csv", "labels.csv")}
 
-    @pytest.mark.parametrize("newline, parsed_whole", [(b"\n", True), (b"\r\n", False)], ids=["c-parser", "csv-path"])
-    def test_manifest_records_the_files_digests(self, ws, tmp_path, newline, parsed_whole):
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_manifest_records_the_files_digests(self, ws, tmp_path, newline):
         want = self._copy(ws, tmp_path / "d", newline)
-        assert (read_dataset(tmp_path / "d").source is not None) == parsed_whole
+        assert read_dataset(tmp_path / "d").source.digest == want[f"{tmp_path / 'd'}/dataset.csv"]
         assert main(["preprocess", "--in", str(tmp_path / "d"), "--out", str(tmp_path / "out")]) == 0
         assert read_manifest(tmp_path / "out" / "manifest.json")["inputs"] == want
 

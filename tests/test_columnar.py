@@ -296,16 +296,16 @@ def test_rule_commands_hash_no_dataset_they_read(tmp_path, monkeypatch):
 
 def test_rule_commands_parse_no_dataset_with_a_valid_copy(tmp_path, monkeypatch):
     """preprocess, detect and eval --in read every input dataset from its
-    copy: numpy's text parser reads no dataset.csv."""
+    copy: no dataset.csv is parsed."""
     steps = _rule_steps(tmp_path)
     parsed = []
-    loadtxt = np.loadtxt
+    parse = fileio._parse_dataset
 
-    def counted_loadtxt(*args, **kwargs):
-        parsed.append(args[0])
-        return loadtxt(*args, **kwargs)
+    def counted_parse(csv_path):
+        parsed.append(csv_path)
+        return parse(csv_path)
 
-    monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+    monkeypatch.setattr(fileio, "_parse_dataset", counted_parse)
     for argv, _ in steps:
         assert main(argv) == 0, argv
         assert parsed == [], argv[0]

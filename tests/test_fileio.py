@@ -8,7 +8,6 @@ import json
 import os
 import zipfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -274,7 +273,7 @@ class TestDatasetFormat:
         assert (tmp_path / "again" / "dataset.csv").read_bytes() == (tmp_path / "dataset.csv").read_bytes()
 
 
-# rows whose cells the C parser reads but repr would write otherwise:
+# rows whose cells read as numbers but repr would write otherwise:
 # `+100` in doy, `0.50` and `0.0` in ndvi, `-12.50` in a radar column
 _LOOSE_ROWS = (
     "2,4,0,0,+100,0.50,-12.50,-18.0,0.5,0.25\n"
@@ -371,16 +370,26 @@ class TestSplicedWrite:
         write_dataset(ds, tmp_path / "out")
         assert (tmp_path / "out" / "dataset.csv").read_bytes() == _formatted(ds, tmp_path / "ref")
 
-    @pytest.mark.parametrize("rows, newline", [
-        ("".join(_LOOSE_ROWS.splitlines(keepends=True)[i] for i in (2, 3, 0, 1)), "\n"),  # pixel 7 first
-        ("".join(_LOOSE_ROWS.splitlines(keepends=True)[i] for i in (1, 0, 2, 3)), "\n"),  # step 1 first
-        (_LOOSE_ROWS, "\r\n"),  # left to the csv path
-    ], ids=["pixel-order", "step-order", "crlf"])
-    def test_no_source_without_rows_in_order_read_by_the_c_parser(self, tmp_path, rows, newline):
-        ds = _read_text(tmp_path / "in", rows, newline)
+    @pytest.mark.parametrize("rows", [
+        "".join(_LOOSE_ROWS.splitlines(keepends=True)[i] for i in (2, 3, 0, 1)),  # pixel 7 first
+        "".join(_LOOSE_ROWS.splitlines(keepends=True)[i] for i in (1, 0, 2, 3)),  # step 1 first
+    ], ids=["pixel-order", "step-order"])
+    def test_no_source_without_rows_in_order(self, tmp_path, rows):
+        ds = _read_text(tmp_path / "in", rows)
         assert ds.source is None
         write_dataset(ds, tmp_path / "out")
         assert (tmp_path / "out" / "dataset.csv").read_bytes() == _formatted(ds, tmp_path / "ref")
+
+    def test_crlf_file_is_spliced(self, tmp_path):
+        """A file of CRLF line ends keeps them, header included, and the text
+        of its unchanged cells."""
+        ds = _read_text(tmp_path / "in", _LOOSE_ROWS, "\r\n")
+        assert ds.source is not None
+        ndvi = ds.ndvi.copy()
+        ndvi[1, 1] = 0.25
+        write_dataset(ds.select(ndvi=ndvi), tmp_path / "out")
+        want = _HEADER_TEXT + _LOOSE_ROWS.replace("7,3,1,1,106,0.20,", "7,3,1,1,106,0.25,")
+        assert (tmp_path / "out" / "dataset.csv").read_bytes() == want.replace("\n", "\r\n").encode()
 
     def test_row_subset_is_formatted(self, tmp_path):
         ds = _read_text(tmp_path / "in", _LOOSE_ROWS)
@@ -565,23 +574,6 @@ class TestBinaryCopy:
         assert got.grid == TemporalGrid(start_doy=40, step_days=6, length=1)
         want = np.array([0.5, ndvi[0] if not np.isnan(ndvi[0]) else np.nan])  # pixel 2 first
         assert got.ndvi.ravel().tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("chunk_bytes", [128, 300, 1 << 20])
-    def test_without_its_copy_a_written_file_is_parsed_by_the_c_parser_alone(self, synth, tmp_path, monkeypatch,
-                                                                              chunk_bytes):
-        """With its copy gone, a file as `write_dataset` writes it never
-        reaches the csv path, in one chunk or in many."""
-        write_dataset(synth.dataset, tmp_path)
-        want = read_dataset(tmp_path)
-        (tmp_path / "dataset.npz").unlink()
-        (tmp_path / "labels.csv").unlink()  # read_labels tokenizes with csv.reader
-        refuse = mock.Mock(side_effect=AssertionError("the csv path was taken"))
-        monkeypatch.setattr(fileio, "_READ_CHUNK_BYTES", chunk_bytes)
-        monkeypatch.setattr(fileio.csv, "reader", refuse)
-        monkeypatch.setattr(fileio, "_convert_cells", refuse)
-        got = read_dataset(tmp_path)
-        assert got.source.copy_digest is None
-        _assert_bit_identical(got, want.select(labels={}))
 
     def test_golden_dataset_reads_through_copy(self, tmp_path):
         write_dataset(_two_pixel_dataset(), tmp_path)

@@ -5,8 +5,8 @@ after a check fails.  Here it is compared against `reference_read`, a
 row-by-row reader that stops at the first bad cell, on small dataset files
 with a few cells or rows mutated: both must accept a file with bitwise equal
 arrays, or both must reject it with the same error, row and column.  The
-read chunk sizes are shrunk so that one file is split between chunks that
-numpy's C parser reads and chunks left to the csv path.
+read chunk size is shrunk so that one file is split between many chunks of
+rows.
 
 The reference declares one rule beyond the cells' own parse and range
 checks: a row whose derived radar channels (`derive_channels`) are not all
@@ -176,12 +176,12 @@ CELL_VALUES = ["abc", "", " ", "nan", "NaN", "inf", "-inf", "1e999", "1.5", "-1.
                "1.0000000000000002", "-1e-300", "2", "0", "1", "-1", "1_0", "1__0", "0x10", "+3", "3.0", "1e5",
                "1000000000000", "99999999999999999999", "٣", '"1,5"', '"0.5"', '""', "400", "-400", "-4000",
                "1e39"]
-# NDVI text of 31, 32 and 40 bytes: the C parser takes at most 32 bytes of a
-# cell, and the 40-byte ones read 1e31 and 0.5 when cut there
+# NDVI text of 31, 32 and 40 bytes: the 40-byte ones read 1e31 and 0.5 when
+# cut at 32 bytes, so a reader that cuts long cells short shows here
 NDVI_31, NDVI_32, NDVI_40 = "1" + "0" * 26 + "e-27", "1" + "0" * 27 + "e-28", "1" + "0" * 35 + "e-36"
 NDVI_40_OUT_OF_RANGE = "0.5" + "0" * 35 + "e9"
-# what the sweep sets each cell to: the fuzz values and the float texts the
-# NDVI column's text conversion must read as `float()` does
+# what the sweep sets each cell to: the fuzz values and the float texts each
+# column must read as `float()` does
 SWEEP_VALUES = CELL_VALUES + [".", "e5", "+", "-", "1e", "1e+", "--1", "1.", ".5", "+.5", "-.5", "1E-1", "1e-400",
                               "-0", NDVI_31, NDVI_32, NDVI_40, NDVI_40_OUT_OF_RANGE]
 
@@ -274,7 +274,7 @@ def _outcome(read, path):
 @example(edits=[("step", 2, 3, "1000000000000")], chunk=1024)
 @example(edits=[("delete", 2, None, None)], chunk=1)
 @example(edits=[("cell", 2, 6, "1_0"), ("pad", 3, 8, None), ("quote", 4, 0, None)], chunk=2)
-# bytes the C parser leaves to the csv path, and an overflow it parses as inf
+# line ends, comments, empty and padded cells, and an overflow to inf
 @example(edits=[("crlf", 3, None, None)], chunk=2)
 @example(edits=[("comment", 8, None, None)], chunk=1)
 @example(edits=[("trailing_comma", 10, None, None)], chunk=5)
@@ -284,9 +284,9 @@ def _outcome(read, path):
 @example(edits=[("cell", 5, 7, "1e999")], chunk=2)
 @example(edits=[("cell", 8, 8, "1e999")], chunk=5)
 @example(edits=[("cell", 3, 9, "1e999")], chunk=1)
-# NDVI text the C parser takes as it is: cells of 31, 32 and 40 bytes, empty
-# cells first and last in a chunk (2 lines each at chunk 2), and text that
-# `float()` refuses or reads as inf
+# NDVI text: cells of 31, 32 and 40 bytes, empty cells first and last in a
+# chunk (2 rows each at chunk 2), and text that `float()` refuses or reads
+# as inf
 @example(edits=[("cell", 5, 5, NDVI_31)], chunk=1024)
 @example(edits=[("cell", 5, 5, NDVI_32)], chunk=2)
 @example(edits=[("cell", 5, 5, NDVI_40)], chunk=1024)
@@ -306,7 +306,8 @@ def test_reader_matches_row_by_row_reference(edits, chunk):
         src.mkdir()
         (src / "dataset.csv").write_text("\n".join(lines) + "\n")
         want, want_err = _outcome(reference_read, src)
-        # about `chunk` lines per C-parsed chunk too (a line is 88-109 bytes)
+        # about `chunk` lines per block of preprocess's splice too (a line is
+        # 88-109 bytes)
         with mock.patch.object(fileio, "_READ_CHUNK_ROWS", chunk), \
                 mock.patch.object(fileio, "_READ_CHUNK_BYTES", 128 * chunk):
             got, got_err = _outcome(read_dataset, src)
@@ -325,11 +326,10 @@ SWEEP_LINES = VALID_LINES[:9]
 def test_every_single_cell_mutation_matches_the_reference(tmp_path, column, chunk):
     """Each NDVI or radar cell of a 2-pixel file set to each of
     `SWEEP_VALUES`, one file at a time: a deterministic sweep of the single
-    mutations a random draw may miss, read whole by one C-parser chunk
-    (chunk 1024) or one line per chunk (chunk 1)."""
+    mutations a random draw may miss, read whole in one chunk (chunk 1024)
+    or one row per chunk (chunk 1)."""
     at = HEADER.index(column)
-    with mock.patch.object(fileio, "_READ_CHUNK_ROWS", chunk), \
-            mock.patch.object(fileio, "_READ_CHUNK_BYTES", 128 * chunk):
+    with mock.patch.object(fileio, "_READ_CHUNK_ROWS", chunk):
         for row, value in itertools.product(range(len(SWEEP_LINES) - 1), SWEEP_VALUES):
             lines = _apply(SWEEP_LINES, ("cell", row, at, value))
             (tmp_path / "dataset.csv").write_text("\n".join(lines) + "\n")
@@ -366,24 +366,10 @@ def _assert_same(got: Dataset, want) -> None:
             assert px.sar[name].tobytes() == sar[name].tobytes(), name
 
 
-@pytest.mark.parametrize("chunk_bytes", [128, 300, 1 << 20])
-def test_valid_file_is_read_by_the_c_parser_alone(tmp_path, chunk_bytes):
-    """A file as `write_dataset` writes it never reaches the csv path, in one
-    chunk or in many."""
-    write_dataset(_valid_dataset(), tmp_path)
-    (tmp_path / "labels.csv").unlink()  # read_labels tokenizes with csv.reader
-    want = reference_read(tmp_path)
-    refuse = mock.Mock(side_effect=AssertionError("the csv path was taken"))
-    with mock.patch.object(fileio, "_READ_CHUNK_BYTES", chunk_bytes), \
-            mock.patch.object(fileio.csv, "reader", refuse), mock.patch.object(fileio, "_convert_cells", refuse):
-        got = read_dataset(tmp_path)
-    _assert_same(got, want)
-
-
 @pytest.mark.parametrize("column", range(5))
 def test_float_text_in_an_id_column_is_not_an_integer(tmp_path, column):
-    """numpy's C parser, before numpy 2.0, reads `1.0` into an int column
-    with only a warning; the reader still names the cell."""
+    """`1.0` in an id column is no integer, although it reads as one
+    number; the reader names the cell."""
     lines = list(VALID_LINES)
     cells = lines[3].split(",")
     cells[column] = "1.0"
