@@ -332,7 +332,6 @@ def _parcel_cloud_coverage(ds: Dataset) -> dict[int, float]:
 
 def _cmd_eval(args, config: RunConfig, run: _Run) -> None:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if Path(args.pred).is_dir():
         _eval_series(args, config, run, out)
     else:
@@ -422,7 +421,6 @@ DEFAULT_ABLATION_SUBSETS = "ndvi+sigma0+coherence,ndvi+sigma0,ndvi+coherence,sig
 
 def _cmd_experiment(args, config: RunConfig, run: _Run) -> None:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ds = run.read_dataset(args.inp)
     if args.kind != "hidden":
         if args.masks is None:

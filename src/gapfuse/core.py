@@ -369,7 +369,7 @@ class Dataset:
             blocks.append((at, self.parcel_order[starts[at, None] + np.arange(m)]))
         return blocks
 
-    # kept because perfbench/tracer.py wraps this name; it goes with ROADMAP item 1
+    # kept because perfbench/tracer.py wraps this name; it goes with ROADMAP item 7
     def parcel_pixels(self, parcel_id: int) -> tuple[PixelSeries, ...]:
         (k,), (start,) = self._locate([parcel_id])
         pixels = self.pixels
@@ -441,7 +441,7 @@ def parcel_aggregates(dataset: Dataset, parcel_ids=None) -> tuple[np.ndarray, np
     return np.clip(ndvi, -1.0, 1.0), sar
 
 
-# kept because perfbench/tracer.py wraps this name; it goes with ROADMAP item 1
+# kept because perfbench/tracer.py wraps this name; it goes with ROADMAP item 7
 def parcel_series(dataset: Dataset, parcel_id: int) -> PixelSeries:
     """One parcel's aggregate (see `parcel_aggregates`) as a series that
     carries the parcel id in both id fields and the region of the parcel's

@@ -280,13 +280,13 @@ def detect_parcels(
     return [EventSet(parcel_id=pid, events=events) for pid, events in zip(parcel_ids, found)]
 
 
-# kept because perfbench/tracer.py wraps this name; it goes with ROADMAP item 1
+# kept because perfbench/tracer.py wraps this name; it goes with ROADMAP item 7
 def detect_parcel(dataset: Dataset, parcel_id: int, *args, **kwargs) -> EventSet:
     """`detect_parcels` for one parcel; the other arguments are its."""
     return detect_parcels(dataset, [parcel_id], *args, **kwargs)[0]
 
 
-# kept because perfbench/tracer.py wraps this name; it goes with ROADMAP item 1
+# kept because perfbench/tracer.py wraps this name; it goes with ROADMAP item 7
 def parcel_fill_batch(
     dataset: Dataset,
     parcel_ids: list[int],

@@ -12,8 +12,9 @@ repr so values round-trip bit-exactly):
 * masks.csv    mask_id, region_id, bit_0..bit_{T-1}
 * events.csv   parcel_id, event_doy, score (empty pair = no events found)
 
-dataset.csv is parsed by the `csv` module a bounded chunk of rows at a time,
-each column converted by `int()`/`float()`; the parse names the row and
+dataset.csv is parsed one row at a time by the `csv` module, through the
+same row reader as every other CSV file, each cell converted by
+`int()`/`float()` and checked as it is read; the parse names the row and
 column of every error, and hashes the bytes it reads for the splice and the
 manifest.  A dataset derived from one that was read with its ids, radar
 block and grid kept is written from the file it was read from: the NDVI
@@ -39,6 +40,7 @@ partial file.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
 import dataclasses
@@ -47,7 +49,6 @@ import io
 import itertools
 import json
 import math
-import operator
 import os
 import tempfile
 import zipfile
@@ -175,7 +176,7 @@ def _parse_float(path, row: int, column: str, raw: str) -> float:
         v = float(raw)
     except ValueError:
         raise FileFormatError(path, f"not a number: {_cell(raw)}", row, column) from None
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise FileFormatError(path, f"non-finite value: {_cell(raw)}", row, column)
     return v
 
@@ -185,16 +186,16 @@ def _parse_float(path, row: int, column: str, raw: str) -> float:
 _CSV_TEXT = dict(encoding="utf-8", errors="surrogateescape", newline="")
 
 
-def _non_utf8(rows: list[list[str]]) -> tuple[int, str] | None:
-    """(index, error message) of the first of `rows`, read as `_CSV_TEXT`,
-    that holds a byte that is not UTF-8; None when every byte is."""
-    if "".join(itertools.chain.from_iterable(rows)).isascii():
+def _non_utf8(row: list[str]) -> str | None:
+    """The error message for `row`, read as `_CSV_TEXT`, when it holds a
+    byte that is not UTF-8; None when every byte is."""
+    text = "".join(row)
+    if text.isascii():
         return None
-    for k, row in enumerate(rows):
-        try:
-            "".join(row).encode("utf-8")
-        except UnicodeEncodeError as e:
-            return k, f"not UTF-8 text: byte {ord(e.object[e.start]) - 0xdc00:#04x}"
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as e:
+        return f"not UTF-8 text: byte {ord(e.object[e.start]) - 0xdc00:#04x}"
     return None
 
 
@@ -209,9 +210,9 @@ def _csv_rows(path, reader):
             return
         except csv.Error as e:
             raise FileFormatError(path, f"unreadable CSV: {e}", rownum) from e
-        bad = _non_utf8([row])
+        bad = _non_utf8(row)
         if bad is not None:
-            raise FileFormatError(path, bad[1], rownum)
+            raise FileFormatError(path, bad, rownum)
         yield rownum, row
 
 
@@ -236,13 +237,8 @@ _RAW_TO_CHANNEL = {
     "coh_vv": "coh_vv",
     "coh_vh": "coh_vh",
 }
-_INT_COLUMNS = DATASET_HEADER[:5]
-# pixels formatted, and rows tokenized, per chunk: bounds the memory of the
-# per-cell strings.  A chunk of row lists this small is mostly freed before
-# the garbage collector promotes it, which keeps full collections rare (5 in
-# a 20,000-pixel read, against 11 with 2,048-row chunks)
+# pixels formatted per chunk: bounds the memory of the per-cell strings
 _WRITE_CHUNK_PIXELS = 512
-_READ_CHUNK_ROWS = 1024
 # bytes of whole lines copied per block by the splice: bounds the memory that
 # the raw text takes at once, whatever the file's size
 _READ_CHUNK_BYTES = 1 << 20
@@ -504,44 +500,6 @@ def _infer_grid(path, steps: list[int], doys: list[int]) -> TemporalGrid:
     return TemporalGrid(start_doy=doys[0], step_days=diffs.pop(), length=len(doys))
 
 
-def _convert_cells(convert, cells: tuple[str, ...], placeholder) -> tuple[list, np.ndarray]:
-    """`convert` (int or float) of every cell, and the mask of the cells it
-    rejects (`placeholder` stands in for their value)."""
-    bad = np.zeros(len(cells), dtype=bool)
-    try:
-        return list(map(convert, cells)), bad
-    except ValueError:
-        pass
-    values = []
-    for i, raw in enumerate(cells):
-        try:
-            values.append(convert(raw))
-        except ValueError:
-            values.append(placeholder)
-            bad[i] = True
-    return values, bad
-
-
-def _convert_column(name: str, cells: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """One dataset.csv column of a chunk as an array, and the mask of the
-    cells its parser (`_parse_int` for the id columns, `_parse_float` for the
-    others) rejects.  Ints past int64 give an object array; an empty NDVI
-    cell is NaN and passes."""
-    if name in _INT_COLUMNS:
-        values, bad = _convert_cells(int, cells, 0)
-        try:
-            return np.array(values, dtype=np.int64), bad
-        except OverflowError:
-            return np.array(values, dtype=object), bad
-    empty = np.zeros(len(cells), dtype=bool)
-    if name == "ndvi":
-        empty = np.fromiter(map(operator.not_, cells), bool, len(cells))
-        cells = [raw or "nan" for raw in cells]
-    values, bad = _convert_cells(float, cells, np.nan)
-    arr = np.array(values, dtype=np.float64)
-    return arr, bad | (~np.isfinite(arr) & ~empty)
-
-
 def _line_blocks(fh):
     """The blocks of about `_READ_CHUNK_BYTES` of whole lines of the binary
     file `fh`, from its position to its end.  A line longer than a block
@@ -578,158 +536,118 @@ class _HashedReader(io.RawIOBase):
         return n
 
 
-def _read_dataset_columns(csv_path, fh):
-    """Read the data rows of the binary dataset.csv `fh` into columns.
-
-    The `csv` module tokenizes `_READ_CHUNK_ROWS` rows at a time and each
-    column of those rows is converted in one pass; the bytes it reads are
-    hashed as they are read.
-
-    Returns (columns, invalid, last, stop, digest):
-    * columns: name -> array over the rows read (see `_convert_column`);
-    * invalid: name -> mask of the cells the column's parser rejects;
-    * last: (index of its first row, its raw columns) of the last chunk;
-    * stop: the error of the row that ended the reading early, a wrong field
-      count or a tokenizer error, or None;
-    * digest: the `sha256_file` digest of the bytes read, which are the
-      whole file when neither `stop` nor an invalid cell ended the reading.
-    Reading stops after a chunk with an invalid cell, since no later row can
-    hold the first error."""
-    width = len(DATASET_HEADER)
-    raw = _HashedReader(fh)
-    reader = csv.reader(io.TextIOWrapper(io.BufferedReader(raw), **_CSV_TEXT))
-    _, header = next(_csv_rows(csv_path, reader), (1, None))
-    _check_header(csv_path, header, DATASET_HEADER)
-    parts: dict[str, list[np.ndarray]] = {name: [] for name in DATASET_HEADER}
-    invalid = {name: [np.zeros(0, dtype=bool)] for name in DATASET_HEADER}
-    last: tuple[int, list[tuple[str, ...]]] = (0, [])
-    n = 0
-    stop = None
-    while stop is None:
-        rows: list[list[str]] = []
-        try:
-            rows.extend(itertools.islice(reader, _READ_CHUNK_ROWS))
-        except csv.Error as e:
-            stop = FileFormatError(csv_path, f"unreadable CSV: {e}", n + len(rows) + 2)
-        wrong = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) != width)
-        if wrong.size:
-            k = int(wrong[0])
-            stop = FileFormatError(csv_path, f"expected {width} fields, got {len(rows[k])}", n + k + 2)
-            del rows[k:]
-        bad = _non_utf8(rows)
-        if bad is not None:
-            stop = FileFormatError(csv_path, bad[1], n + bad[0] + 2)
-            del rows[bad[0]:]
-        if not rows:
-            break
-        cells = list(zip(*rows))
-        last = (n, cells)
-        for name, col in zip(DATASET_HEADER, cells):
-            arr, bad = _convert_column(name, col)
-            parts[name].append(arr)
-            invalid[name].append(bad)
-        n += len(rows)
-        if any(masks[-1].any() for masks in invalid.values()):
-            break
-    columns = {name: np.concatenate(p) if p else np.zeros(0, np.int64) for name, p in parts.items()}
-    masks = {name: np.concatenate(p) for name, p in invalid.items()}
-    return columns, masks, last, stop, _digest_text(raw.sha256)
-
-
 # the radar channels that derive from the backscatter columns alone; the
 # others are the coherences and their mean, which lie in [0, 1] when the
 # coherences do
 _BACKSCATTER_CHANNELS = ("sigma0_vv_db", "sigma0_vh_db", "sigma0_ratio", "sigma0_cross_ratio_db", "rvi")
 
 
-def _derive_columns(cols: Mapping[str, np.ndarray]) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """The radar channels `derive_channels` derives from the raw radar
-    columns, and the rows whose backscatter channels are not all finite in
-    float32, the model's dtype.  derive_channels refuses a non-finite value,
-    a VH power that underflows to 0 and a coherence outside [0, 1]: a row it
-    would refuse for its backscatter is unfit as it is, and such a row's
-    channels are derived from 0 instead (a coherence outside [0, 1] fails a
-    check of its own)."""
-    vv, vh, coh_vv, coh_vh = (cols[c] for c in _RAW_TO_CHANNEL)
+def _radar_channels(csv_path, radar: array.array) -> dict[str, np.ndarray]:
+    """The radar channels `derive_channels` derives from the rows whose four
+    raw radar cells `radar` holds in turn.  The first row whose backscatter
+    channels are not all finite in float32, the model's dtype, is refused
+    and blamed on the backscatter value further from 0 dB.  derive_channels
+    refuses a non-finite value, a VH power that underflows to 0 and a
+    coherence outside [0, 1]: a row it would refuse for its backscatter is
+    unfit as it is, and such a row's channels are derived from 0 instead (a
+    coherence outside [0, 1] fails a check of its own)."""
+    raw = np.frombuffer(radar, np.float64).reshape(-1, len(_RAW_TO_CHANNEL))
+    vv, vh, coh_vv, coh_vh = raw.T
     with np.errstate(all="ignore"):
         refused = ~(np.isfinite(vv) & np.isfinite(vh)) | (db_to_linear(vh) == 0.0)
-        if refused.any():
-            vv, vh = np.where(refused, 0.0, vv), np.where(refused, 0.0, vh)
         outside = ~((coh_vv >= 0.0) & (coh_vv <= 1.0) & (coh_vh >= 0.0) & (coh_vh <= 1.0))
-        if outside.any():
-            coh_vv, coh_vh = np.where(outside, 0.0, coh_vv), np.where(outside, 0.0, coh_vh)
-        sar = derive_channels(vv, vh, coh_vv, coh_vh)
-    return sar, refused | ~np.logical_and.reduce([finite_in_float32(sar[c]) for c in _BACKSCATTER_CHANNELS])
+        sar = derive_channels(np.where(refused, 0.0, vv), np.where(refused, 0.0, vh),
+                              np.where(outside, 0.0, coh_vv), np.where(outside, 0.0, coh_vh))
+    unfit = refused | ~np.logical_and.reduce([finite_in_float32(sar[c]) for c in _BACKSCATTER_CHANNELS])
+    if unfit.any():
+        i = int(np.argmax(unfit))
+        raise FileFormatError(csv_path, f"radar channels derived from sig_vv_db {vv[i]} and sig_vh_db {vh[i]} are "
+                              "not finite in float32", i + 2, "sig_vv_db" if abs(vv[i]) >= abs(vh[i]) else "sig_vh_db")
+    return sar
+
+
+def _id_column(values) -> np.ndarray:
+    """Integer ids as an int64 array, or as an object array when one lies
+    outside int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def _parse_dataset(csv_path: Path) -> Dataset:
     """The dataset that dataset.csv `csv_path` holds, without labels, with
     its `_Source` when its rows come in `write_dataset` order (see
     `read_dataset`)."""
+    width = len(DATASET_HEADER)
+    pids, steps, ndvi, radar = [], [], array.array("d"), array.array("d")
+    step_doys: dict[int, int] = {}
+    pixel_meta: dict[int, tuple[int, int]] = {}
+    seen: set[tuple[int, int]] = set()
     with open(csv_path, "rb", buffering=0) as fh:
-        cols, invalid, last, stop, digest = _read_dataset_columns(csv_path, fh)
-    pid, parcel, region, step, doy, ndvi = (cols[c] for c in DATASET_HEADER[:6])
-    pixel_ids, first_of_pixel, pixel = np.unique(pid, return_index=True, return_inverse=True)
-    steps, first_of_step, step_index = np.unique(step, return_index=True, return_inverse=True)
-    # rows by (pixel, step); lexsort is stable, so a repeated pair is flagged
-    # at its later rows in file order
-    order = np.lexsort((step_index, pixel))
-    repeat = np.zeros(pid.shape[0], dtype=bool)
-    sorted_pixel, sorted_step = pixel[order], step_index[order]
-    repeat[order[1:][(sorted_pixel[1:] == sorted_pixel[:-1]) & (sorted_step[1:] == sorted_step[:-1])]] = True
-    first_doy = doy[first_of_step][step_index]
-
-    # (mask of failing rows, column, message) in the order a row's cells are
-    # checked; a None message marks cells the column's parser rejects
-    checks = [(invalid[c], c, None) for c in _INT_COLUMNS]
-    checks += [
-        (step < 0, "step", lambda i: "negative step"),
-        (doy != first_doy, "doy", lambda i: f"step {step[i]} maps to both doy {first_doy[i]} and {doy[i]}"),
-        (invalid["ndvi"], "ndvi", None),
-        (np.abs(ndvi) > 1.0, "ndvi", lambda i: f"ndvi {ndvi[i]} outside [-1, 1]"),
-    ]
-    checks += [(invalid[c], c, None) for c in _RAW_TO_CHANNEL]
-    checks += [((cols[c] < 0.0) | (cols[c] > 1.0), c, lambda i, c=c: f"coherence {cols[c][i]} outside [0, 1]")
-               for c in ("coh_vv", "coh_vh")]
-    # a derived radar channel the model's float32 cannot hold, blamed on the
-    # backscatter value further from 0 dB
-    vv, vh = cols["sig_vv_db"], cols["sig_vh_db"]
-    (channels, unfit), vv_blamed = _derive_columns(cols), np.abs(vv) >= np.abs(vh)
-    checks += [(unfit & blamed, c, lambda i: f"radar channels derived from sig_vv_db {vv[i]} and sig_vh_db {vh[i]} "
-                "are not finite in float32") for c, blamed in (("sig_vv_db", vv_blamed), ("sig_vh_db", ~vv_blamed))]
-    checks += [
-        ((parcel != parcel[first_of_pixel][pixel]) | (region != region[first_of_pixel][pixel]), "parcel_id",
-         lambda i: f"pixel {pid[i]} changes parcel/region mid-file"),
-        (repeat, "step", lambda i: f"duplicate (pixel {pid[i]}, step {step[i]})"),
-    ]
-    failing = np.logical_or.reduce([mask for mask, _, _ in checks])
-    if failing.any():
-        i = int(np.argmax(failing))
-        for mask, column, message in checks:
-            if mask[i]:
-                if message is None:
-                    parse = _parse_int if column in _INT_COLUMNS else _parse_float
-                    parse(csv_path, i + 2, column, last[1][DATASET_HEADER.index(column)][i - last[0]])
-                raise FileFormatError(csv_path, message(i), i + 2, column)
-    if stop is not None:
-        raise stop
-    if pid.shape[0] == 0:
+        raw = _HashedReader(fh)
+        rows = _csv_rows(csv_path, csv.reader(io.TextIOWrapper(io.BufferedReader(raw), **_CSV_TEXT)))
+        _, header = next(rows, (1, None))
+        _check_header(csv_path, header, DATASET_HEADER)
+        try:
+            for rownum, row in rows:
+                if len(row) != width:
+                    raise FileFormatError(csv_path, f"expected {width} fields, got {len(row)}", rownum)
+                pid, parcel, region, step, doy = [_parse_int(csv_path, rownum, name, cell)
+                                                  for name, cell in zip(DATASET_HEADER[:5], row)]
+                if step < 0:
+                    raise FileFormatError(csv_path, "negative step", rownum, "step")
+                if step_doys.setdefault(step, doy) != doy:
+                    raise FileFormatError(csv_path, f"step {step} maps to both doy {step_doys[step]} and {doy}",
+                                          rownum, "doy")
+                value = math.nan
+                if row[5]:
+                    value = _parse_float(csv_path, rownum, "ndvi", row[5])
+                    if abs(value) > 1.0:
+                        raise FileFormatError(csv_path, f"ndvi {value} outside [-1, 1]", rownum, "ndvi")
+                cells = [_parse_float(csv_path, rownum, name, cell) for name, cell in zip(_RAW_TO_CHANNEL, row[6:])]
+                for name, coherence in zip(("coh_vv", "coh_vh"), cells[2:]):
+                    if not 0.0 <= coherence <= 1.0:
+                        raise FileFormatError(csv_path, f"coherence {coherence} outside [0, 1]", rownum, name)
+                pids.append(pid)
+                steps.append(step)
+                ndvi.append(value)
+                radar.extend(cells)
+                if pixel_meta.setdefault(pid, (parcel, region)) != (parcel, region):
+                    raise FileFormatError(csv_path, f"pixel {pid} changes parcel/region mid-file", rownum, "parcel_id")
+                if (pid, step) in seen:
+                    raise FileFormatError(csv_path, f"duplicate (pixel {pid}, step {step})", rownum, "step")
+                seen.add((pid, step))
+        except FileFormatError:
+            # a row refused for its derived channels comes first when it is
+            # an earlier row, or this one past its cell checks: a row's
+            # derived check comes after those and before its pixel's and
+            # duplicate's, so its radar cells are kept right after them
+            _radar_channels(csv_path, radar)
+            raise
+        digest = _digest_text(raw.sha256)
+    channels = _radar_channels(csv_path, radar)
+    if not pids:
         raise FileFormatError(csv_path, "no data rows")
-    grid = _infer_grid(csv_path, steps.tolist(), doy[first_of_step].tolist())
+    present = sorted(step_doys)
+    grid = _infer_grid(csv_path, present, [step_doys[s] for s in present])
 
+    pixel_ids, pixel = np.unique(_id_column(pids), return_inverse=True)
     # pixels in id order up to the first that misses a step (each step is in
     # range(grid.length) and none repeats, so a full pixel has one row per step)
     short = np.flatnonzero(np.bincount(pixel, minlength=pixel_ids.shape[0]) != grid.length)
     if short.size:
         raise FileFormatError(csv_path, f"pixel {pixel_ids[short[0]]} does not cover every step of the grid")
-    ids = (pixel_ids, parcel[first_of_pixel], region[first_of_pixel])
-    ndvi = ndvi[order].reshape(pixel_ids.shape[0], grid.length)
+    parcels, regions = zip(*(pixel_meta[p] for p in pixel_ids.tolist()))
+    ids = (pixel_ids, _id_column(parcels), _id_column(regions))
+    order = np.lexsort((np.array(steps), pixel))
+    ndvi = np.frombuffer(ndvi, np.float64)[order].reshape(pixel_ids.shape[0], grid.length)
     sar = np.stack([channels[c] for c in SAR_CHANNELS], axis=1)[order].reshape(*ndvi.shape, len(SAR_CHANNELS))
     source = None
     if np.array_equal(order, np.arange(order.shape[0])):
         source = _Source(csv_path.resolve(), digest, grid, ids, ndvi, sar)
-    # the checks above are the constructor's radar checks, made on whole
-    # columns, so the rows are not checked again (as in `Dataset.select`)
+    # the checks above are the constructor's radar checks, so the rows are
+    # not checked again (as in `Dataset.select`)
     out = Dataset.__new__(Dataset)
     out._setup(grid, *ids, ndvi, sar, None, source, check_radar=False)
     return out
@@ -784,13 +702,14 @@ def read_dataset(path) -> Dataset:
     read (see `_Source`), so that neither a write from it nor a run's
     manifest reads either file again to hash it.
 
-    A parse runs every check on whole columns.  Only when one fails is the
-    offending row looked up: the first in file order, and within it the
-    first failing check in column order, so the error names the row and
-    column that a row-by-row reader stopping at the first bad cell would
-    name.  A parse reads each byte of dataset.csv once, after the hash that
-    a copy which loads but records another digest takes; it records the
-    source when the rows already come in `write_dataset` order."""
+    A parse checks the cells of each row in column order as it reads them
+    and stops at the first that fails, naming its row and column.  Whether a
+    row's derived radar channels fit in float32 is checked on all the rows
+    read so far, when another check fails and at the end, so the error is
+    still the first in file and column order.  A parse reads each byte of
+    dataset.csv once, after the hash that a copy which loads but records
+    another digest takes; it records the source when the rows already come
+    in `write_dataset` order."""
     path = Path(path)
     csv_path = path / DATASET_FILE
     if not csv_path.exists():

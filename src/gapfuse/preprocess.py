@@ -152,7 +152,7 @@ def density_mask(
     )
 
 
-# kept because perfbench/tracer.py wraps this name; it goes with ROADMAP item 1
+# kept because perfbench/tracer.py wraps this name; it goes with ROADMAP item 7
 def passes_density(
     ndvi: np.ndarray, grid: TemporalGrid, criteria: DensityCriteria = DensityCriteria()
 ) -> bool:

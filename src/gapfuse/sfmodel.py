@@ -577,7 +577,7 @@ def fill_batch(
     return np.where(present & ~flagged, ndvi, pred), flagged
 
 
-# kept because perfbench/tracer.py wraps this name; it goes with ROADMAP item 1
+# kept because perfbench/tracer.py wraps this name; it goes with ROADMAP item 7
 def gapfill_sf(
     model: SfModel, pixel: PixelSeries, cloud_filter_threshold: float | None = None
 ) -> np.ndarray:
@@ -588,7 +588,7 @@ def gapfill_sf(
     return filled[0]
 
 
-# kept because perfbench/tracer.py wraps this name; it goes with ROADMAP item 1
+# kept because perfbench/tracer.py wraps this name; it goes with ROADMAP item 7
 def cloud_filter(model: SfModel, pixel: PixelSeries, threshold: float = 0.15) -> np.ndarray:
     """Flag present steps whose observation sits anomalously LOW versus the
     fused prediction (suspected residual cloud)."""

@@ -370,6 +370,19 @@ class TestExitCodes:
         for name in dataset_files:
             assert (d / name).read_bytes() == (new / name).read_bytes(), name
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--pred", "{events}", "--truth", "{ds}/masks.csv"],  # masks are no truth
+        ["experiment", "ablation", "--in", "{ds}"],  # ablation without --masks
+    ], ids=["eval", "experiment"])
+    def test_refused_run_leaves_no_out_directory(self, ws, tmp_path, capsys, argv):
+        events = tmp_path / "events.csv"
+        events.write_text("parcel_id,event_doy,score\n1,,\n")
+        out = tmp_path / "out"
+        argv = [a.format(events=events, ds=ws["ds"]) for a in argv]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "gapfuse: error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSynth:
     def test_outputs_and_manifest(self, ws):

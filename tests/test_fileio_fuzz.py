@@ -1,12 +1,13 @@
 """Differential fuzzing of the dataset reader.
 
-`read_dataset` checks whole columns and looks up the offending row only
-after a check fails.  Here it is compared against `reference_read`, a
-row-by-row reader that stops at the first bad cell, on small dataset files
-with a few cells or rows mutated: both must accept a file with bitwise equal
-arrays, or both must reject it with the same error, row and column.  The
-read chunk size is shrunk so that one file is split between many chunks of
-rows.
+`read_dataset` parses dataset.csv a row at a time, but checks the derived
+radar channels on the rows read so far only when another check fails and
+at the end.  Here it is compared against `reference_read`, a row-by-row
+reader that stops at the first bad cell, on small dataset files with a few
+cells or rows mutated: both must accept a file with bitwise equal arrays,
+or both must reject it with the same error, row and column.  The same file
+also goes through `preprocess`, whose splice copies it in blocks shrunk to
+a few lines each.
 
 The reference declares one rule beyond the cells' own parse and range
 checks: a row whose derived radar channels (`derive_channels`) are not all
@@ -274,6 +275,11 @@ def _outcome(read, path):
 @example(edits=[("step", 2, 3, "1000000000000")], chunk=1024)
 @example(edits=[("delete", 2, None, None)], chunk=1)
 @example(edits=[("cell", 2, 6, "1_0"), ("pad", 3, 8, None), ("quote", 4, 0, None)], chunk=2)
+# a row refused for its derived channels is the error, whatever a later row
+# holds, and a row's derived channels are checked before its pixel is
+@example(edits=[("cell", 3, 6, "400"), ("cell", 7, 0, "abc")], chunk=1024)
+@example(edits=[("cell", 3, 6, "400"), ("drop_field", 7, None, None)], chunk=2)
+@example(edits=[("duplicate", 3, 9, None), ("cell", 9, 6, "400")], chunk=5)
 # line ends, comments, empty and padded cells, and an overflow to inf
 @example(edits=[("crlf", 3, None, None)], chunk=2)
 @example(edits=[("comment", 8, None, None)], chunk=1)
@@ -285,8 +291,8 @@ def _outcome(read, path):
 @example(edits=[("cell", 8, 8, "1e999")], chunk=5)
 @example(edits=[("cell", 3, 9, "1e999")], chunk=1)
 # NDVI text: cells of 31, 32 and 40 bytes, empty cells first and last in a
-# chunk (2 rows each at chunk 2), and text that `float()` refuses or reads
-# as inf
+# splice block (about 2 lines each at chunk 2), and text that `float()`
+# refuses or reads as inf
 @example(edits=[("cell", 5, 5, NDVI_31)], chunk=1024)
 @example(edits=[("cell", 5, 5, NDVI_32)], chunk=2)
 @example(edits=[("cell", 5, 5, NDVI_40)], chunk=1024)
@@ -306,11 +312,10 @@ def test_reader_matches_row_by_row_reference(edits, chunk):
         src.mkdir()
         (src / "dataset.csv").write_text("\n".join(lines) + "\n")
         want, want_err = _outcome(reference_read, src)
-        # about `chunk` lines per block of preprocess's splice too (a line is
+        got, got_err = _outcome(read_dataset, src)
+        # about `chunk` lines per block of preprocess's splice (a line is
         # 88-109 bytes)
-        with mock.patch.object(fileio, "_READ_CHUNK_ROWS", chunk), \
-                mock.patch.object(fileio, "_READ_CHUNK_BYTES", 128 * chunk):
-            got, got_err = _outcome(read_dataset, src)
+        with mock.patch.object(fileio, "_READ_CHUNK_BYTES", 128 * chunk):
             with contextlib.redirect_stderr(io.StringIO()):
                 rc = main(["preprocess", "--in", str(src), "--out", str(Path(d) / "out")])
     _assert_same_outcome(got, got_err, want, want_err)
@@ -321,24 +326,21 @@ def test_reader_matches_row_by_row_reference(edits, chunk):
 SWEEP_LINES = VALID_LINES[:9]
 
 
-@pytest.mark.parametrize("chunk", [1, 1024])
 @pytest.mark.parametrize("column", HEADER[5:])
-def test_every_single_cell_mutation_matches_the_reference(tmp_path, column, chunk):
+def test_every_single_cell_mutation_matches_the_reference(tmp_path, column):
     """Each NDVI or radar cell of a 2-pixel file set to each of
     `SWEEP_VALUES`, one file at a time: a deterministic sweep of the single
-    mutations a random draw may miss, read whole in one chunk (chunk 1024)
-    or one row per chunk (chunk 1)."""
+    mutations a random draw may miss."""
     at = HEADER.index(column)
-    with mock.patch.object(fileio, "_READ_CHUNK_ROWS", chunk):
-        for row, value in itertools.product(range(len(SWEEP_LINES) - 1), SWEEP_VALUES):
-            lines = _apply(SWEEP_LINES, ("cell", row, at, value))
-            (tmp_path / "dataset.csv").write_text("\n".join(lines) + "\n")
-            want, want_err = _outcome(reference_read, tmp_path)
-            got, got_err = _outcome(read_dataset, tmp_path)
-            try:
-                _assert_same_outcome(got, got_err, want, want_err)
-            except AssertionError as e:
-                raise AssertionError(f"row {row}, {column} = {value!r}: {e}") from None
+    for row, value in itertools.product(range(len(SWEEP_LINES) - 1), SWEEP_VALUES):
+        lines = _apply(SWEEP_LINES, ("cell", row, at, value))
+        (tmp_path / "dataset.csv").write_text("\n".join(lines) + "\n")
+        want, want_err = _outcome(reference_read, tmp_path)
+        got, got_err = _outcome(read_dataset, tmp_path)
+        try:
+            _assert_same_outcome(got, got_err, want, want_err)
+        except AssertionError as e:
+            raise AssertionError(f"row {row}, {column} = {value!r}: {e}") from None
 
 
 def _assert_same_outcome(got, got_err, want, want_err) -> None:

@@ -2,6 +2,7 @@
 the path of the directory each ran in, and the digests of the files that
 held that path; any other difference is reported."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from gapfuse.cli import main
+from gapfuse.fileio import read_json
 
 _spec = importlib.util.spec_from_file_location(
     "same_outputs", Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py")
@@ -99,3 +101,26 @@ def test_declared_patterns_match_paths():
     differences = ["differs: seed101/pre/dataset.npz", "only in head: seed101/new.csv", "differs: commands.json"]
     assert same_outputs.undeclared(differences, ["*/dataset.npz", "seed101/new.csv"]) == ["differs: commands.json"]
     assert same_outputs.undeclared(differences, []) == differences
+
+
+def test_scene_without_its_copy_is_parsed_and_spliced(tmp_path):
+    """The runs on a copy of a scene without dataset.npz exit 0; the CRLF
+    copy's line ends survive `preprocess` and `gapfill`, which splice it, and
+    `eval --in` records the digest of the bytes it parsed."""
+    scene = tmp_path / "scene"
+    assert main(["synth", "--out", str(scene), "--parcels", "6", "--pixels-per-parcel", "2", "--regions", "2",
+                 "--seed", "3"]) == 0
+    assert main(["detect", "--in", str(scene), "--out", str(tmp_path / "akima_mda2.csv"), "--fill", "akima",
+                 "--algo", "mda2"]) == 0
+    run = tmp_path / "run"
+    log = same_outputs.run_parsed(same_outputs.REPO / "src", scene, run)
+    assert sorted(log) == sorted(f"parsed/{ends}/{name}" for ends in ("lf", "crlf") for name, _ in
+                                 same_outputs._PARSED)
+    assert {name: r["exit"] for name, r in log.items()} == dict.fromkeys(log, 0)
+    parsed = run / "parsed"
+    assert not (parsed / "crlf" / "dataset.npz").exists()
+    for out in ("crlf-pre", "crlf-linear"):
+        lines = (parsed / out / "dataset.csv").read_bytes().split(b"\n")
+        assert lines[-1] == b"" and all(line.endswith(b"\r") for line in lines[:-1]), out
+    digest = "sha256:" + hashlib.sha256((parsed / "crlf" / "dataset.csv").read_bytes()).hexdigest()
+    assert read_json(parsed / "crlf-eval" / "manifest.json")["inputs"][f"{parsed}/crlf/dataset.csv"] == digest

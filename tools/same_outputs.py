@@ -14,7 +14,11 @@ tree's `src` on `PYTHONPATH`, each command as `python -m gapfuse`:
   for both heads; `cloudfilter`; `detect` akima/mda2, sf/mda1 and
   akima/dnn; `eval` on events, and with `--in`; the hidden-event
   `experiment` and one `experiment --from-manifest` replay of it;
-* a fixed list of refusals on seed 101's scene, each of which must exit 2.
+* a fixed list of refusals on seed 101's scene, each of which must exit 2;
+* `preprocess`, `gapfill --method linear` and `eval --in` on a copy of seed
+  101's dataset.csv and labels.csv with no dataset.npz, once with LF and
+  once with CRLF line ends, so that every read of it parses dataset.csv and
+  the datasets derived from it are spliced from the parsed file.
 The exit code and standard error of every command go to `commands.json`.
 
 Every file the two runs leave is then compared.  One rule normalises them:
@@ -122,6 +126,16 @@ _REFUSALS = [
 ]
 
 
+# (name, argv given a copy of the seed-101 scene without its dataset.npz and
+# the scene): each must exit 0
+_PARSED = [
+    ("preprocess", lambda d, s: ["preprocess", "--in", d, "--out", f"{d}-pre"]),
+    ("gapfill_linear", lambda d, s: ["gapfill", "--in", d, "--out", f"{d}-linear", "--method", "linear"]),
+    ("eval_binned", lambda d, s: ["eval", "--pred", f"{os.path.dirname(s)}/akima_mda2.csv", "--truth",
+                                  f"{s}/labels.csv", "--out", f"{d}-eval", "--in", d]),
+]
+
+
 def _gapfuse(src: Path, argv: list[str]) -> dict:
     """Run `python -m gapfuse argv` on the tree whose source is `src`."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("GAPFUSE_")}
@@ -131,8 +145,8 @@ def _gapfuse(src: Path, argv: list[str]) -> dict:
 
 
 def run_matrix(src: Path, run: Path) -> None:
-    """Run the matrix and the refusals with the gapfuse of `src`, writing
-    under the new directory `run`."""
+    """Run the matrix, the refusals and the runs on a scene without its copy
+    with the gapfuse of `src`, writing under the new directory `run`."""
     run.mkdir(parents=True)
     log = {}
     for seed in SEEDS:
@@ -156,7 +170,26 @@ def run_matrix(src: Path, run: Path) -> None:
         log[f"refusals/{name}"] = result = _gapfuse(src, argv(str(d), str(scene)))
         if result["exit"] != 2:
             print(f"{src.parent.name}: refusal {name} exited {result['exit']}, not 2", file=sys.stderr)
+    log |= run_parsed(src, scene, run)
     (run / "commands.json").write_text(json.dumps(log, indent=2, sort_keys=True) + "\n")
+
+
+def run_parsed(src: Path, scene: Path, run: Path) -> dict[str, dict]:
+    """Run `_PARSED` with the gapfuse of `src` on copies of the scene
+    directory `scene` under `run`/parsed, one with LF and one with CRLF line
+    ends, and return each command's record by name."""
+    log = {}
+    for ends, newline in (("lf", b"\n"), ("crlf", b"\r\n")):
+        d = run / "parsed" / ends
+        d.mkdir(parents=True)
+        for f in ("dataset.csv", "labels.csv"):
+            if (scene / f).exists():
+                (d / f).write_bytes((scene / f).read_bytes().replace(b"\n", newline))
+        for name, argv in _PARSED:
+            log[f"parsed/{ends}/{name}"] = result = _gapfuse(src, argv(str(d), str(scene)))
+            if result["exit"] != 0:
+                print(f"{src.parent.name}: {ends} {name} exited {result['exit']}, not 0", file=sys.stderr)
+    return log
 
 
 def _digest(data: bytes) -> bytes:
