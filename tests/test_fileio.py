@@ -575,6 +575,30 @@ class TestBinaryCopy:
         want = np.array([0.5, ndvi[0] if not np.isnan(ndvi[0]) else np.nan])  # pixel 2 first
         assert got.ndvi.ravel().tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("chunk_bytes", [128, 300, 1 << 20])
+    def test_without_its_copy_a_written_file_is_parsed_and_spliced(self, synth, tmp_path, monkeypatch, chunk_bytes):
+        """With its copy gone, a file as `write_dataset` writes it parses to
+        the arrays its copy held, and a dataset derived from the parse is
+        spliced from it, in one block or in many, to the formatter's bytes."""
+        write_dataset(synth.dataset, tmp_path / "in")
+        want = read_dataset(tmp_path / "in")
+        (tmp_path / "in" / "dataset.npz").unlink()
+        got = read_dataset(tmp_path / "in")
+        assert got.source.copy_digest is None
+        _assert_bit_identical(got, want)
+        ndvi = np.where(np.isnan(got.ndvi), 0.5, got.ndvi)
+        ndvi[1::2, ::3] = np.nan
+        derived = got.select(ndvi=ndvi)
+        formatted = _formatted(derived, tmp_path / "ref")
+
+        def no_formatting(*args):
+            raise AssertionError("formatted instead of spliced")
+
+        monkeypatch.setattr(fileio, "_READ_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(fileio, "_dataset_rows", no_formatting)
+        write_dataset(derived, tmp_path / "out")
+        assert (tmp_path / "out" / "dataset.csv").read_bytes() == formatted
+
     def test_golden_dataset_reads_through_copy(self, tmp_path):
         write_dataset(_two_pixel_dataset(), tmp_path)
         _assert_read_through_copy(tmp_path)
