@@ -431,7 +431,7 @@ def _cmd_experiment(args, config: RunConfig, run: _Run) -> None:
         fill = config.pipeline.fill_method
         rep = hidden_event_experiment(
             ds, fill, _fill_model(args, fill, run),
-            detector=config.pipeline.algorithm if config.pipeline.algorithm in ("mda1", "mda2") else "mda1",
+            detector=config.pipeline.algorithm,
             seed=config.pipeline.seed,
             tolerance_max=config.pipeline.tolerance_days,
             mda1_params=config.mda1,

@@ -35,10 +35,6 @@ class MaskPool:
             raise ValueError("all masks in a pool must share one grid length")
         object.__setattr__(self, "masks", masks)
 
-    @property
-    def mean_coverage(self) -> float:
-        return float(np.mean([m.coverage for m in self.masks]))
-
 
 def bootstrap_mask(pool: MaskPool, rng: np.random.Generator) -> CloudMask:
     """Draw one mask uniformly from the pool."""
@@ -75,20 +71,20 @@ def synth_mask_pool(
     region_id: int,
     grid: TemporalGrid,
     n_masks: int,
-    mean_coverage: float,
+    coverage: float,
     rng: np.random.Generator,
-    coverage_sd: float = 0.12,
-    correlation: float = 0.45,
     weight_amplitude: float = 0.8,
 ) -> MaskPool:
-    """Generate a pool of seasonal cloud masks with the given mean coverage."""
+    """Generate a pool of seasonal cloud masks with mean coverage `coverage`:
+    each mask's own coverage is drawn with a standard deviation of 0.12, and
+    its cloudy steps follow an AR(1) series of lag-1 correlation 0.45."""
     if n_masks <= 0:
         raise ValueError("n_masks must be positive")
     weights = seasonal_cloud_weights(grid.doys, weight_amplitude)
     masks = []
     for i in range(n_masks):
-        c = float(np.clip(rng.normal(mean_coverage, coverage_sd), 0.08, 0.80))
-        bits = _correlated_mask_bits(weights, c, correlation, rng)
+        c = float(np.clip(rng.normal(coverage, 0.12), 0.08, 0.80))
+        bits = _correlated_mask_bits(weights, c, 0.45, rng)
         masks.append(CloudMask(mask_id=region_id * 100000 + i, region_id=region_id, bits=bits))
     return MaskPool(region_id=region_id, masks=tuple(masks))
 

@@ -123,22 +123,16 @@ class TemporalGrid:
         """All grid day-of-year stamps as an int array of shape (length,)."""
         return self.start_doy + self.step_days * np.arange(self.length)
 
-    @property
-    def end_doy(self) -> int:
-        return self.start_doy + self.step_days * (self.length - 1)
-
     def doy(self, index: int) -> int:
         """Day-of-year at a grid index; raises IndexError out of range."""
         if not 0 <= index < self.length:
             raise IndexError(f"grid index {index} out of range [0, {self.length})")
         return self.start_doy + self.step_days * index
 
-    def nearest_index(self, doy: float, max_distance_days: float | None = None) -> int | None:
+    def nearest_index(self, doy: float) -> int:
         """Index of the grid step nearest to `doy`.
 
         Ties between two equally near steps resolve to the earlier one.
-        Returns None when the nearest step is farther than
-        `max_distance_days` (when given).
         """
         raw = (doy - self.start_doy) / self.step_days
         idx = int(np.floor(raw + 0.5))
@@ -146,10 +140,7 @@ class TemporalGrid:
         # go to the earlier step instead, so step back when exactly halfway.
         if (raw - np.floor(raw)) == 0.5 and idx > 0:
             idx -= 1
-        idx = min(max(idx, 0), self.length - 1)
-        if max_distance_days is not None and abs(doy - self.doy(idx)) > max_distance_days:
-            return None
-        return idx
+        return min(max(idx, 0), self.length - 1)
 
 
 @dataclass(frozen=True)
@@ -200,15 +191,6 @@ class PixelSeries:
         out.__dict__.update(pixel_id=pixel_id, parcel_id=parcel_id, region_id=region_id, ndvi=ndvi,
                             sar=MappingProxyType(dict(zip(SAR_CHANNELS, sar.T))))
         return out
-
-    @property
-    def length(self) -> int:
-        return self.ndvi.shape[0]
-
-    @property
-    def present(self) -> np.ndarray:
-        """Boolean mask of steps with an NDVI observation."""
-        return ~np.isnan(self.ndvi)
 
 
 @dataclass(frozen=True)
@@ -375,8 +357,7 @@ class Dataset:
         pixels = self.pixels
         return tuple(pixels[i] for i in self.parcel_order[start:start + self.parcel_sizes[k]].tolist())
 
-    def select(self, rows=None, ndvi=None, labels: Mapping[int, ParcelLabel] | None = None,
-               source=None) -> "Dataset":
+    def select(self, rows=None, ndvi=None, labels: Mapping[int, ParcelLabel] | None = None) -> "Dataset":
         """The pixels at `rows` (an index array or a row mask; every row
         when None), in that order, with the (len(rows), T) NDVI block `ndvi`
         in place of theirs when given, and `labels`, by default this
@@ -385,17 +366,18 @@ class Dataset:
         Only what can change is checked: the new NDVI, repeated rows and the
         labels.  The radar rows were checked when this dataset was made and
         are shared when every row is kept, and so are the id columns.  The
-        result carries `source` when given; otherwise it carries this
-        dataset's `source` when every row is kept, and None when not."""
+        result carries this dataset's `source` when every row is kept, and
+        None when not."""
         if rows is None:
             ids = (self.pixel_ids, self.pixel_parcel_ids, self.pixel_region_ids)
             sar = self.sar
-            source = self.source if source is None else source
+            source = self.source
         else:
             rows = np.asarray(rows)
             rows = np.flatnonzero(rows) if rows.dtype == bool else rows.astype(np.intp)
             ids = (self.pixel_ids[rows], self.pixel_parcel_ids[rows], self.pixel_region_ids[rows])
             sar = self.sar[rows]
+            source = None
         if ndvi is None:
             ndvi = self.ndvi if rows is None else self.ndvi[rows]
         else:

@@ -141,9 +141,10 @@ def labels_to_binary(label: ParcelLabel, grid: TemporalGrid) -> np.ndarray:
 
 
 def decode_probabilities(
-    probs: np.ndarray, grid: TemporalGrid, decode_threshold: float = 0.5, nms_steps: int = 2
+    probs: np.ndarray, grid: TemporalGrid, decode_threshold: float = 0.5
 ) -> tuple[Event, ...]:
-    """Local probability maxima >= threshold, with +-nms_steps suppression."""
+    """Local probability maxima >= threshold; of maxima within two steps of
+    each other, only the most probable is kept."""
     probs = np.asarray(probs, dtype=np.float64)
     t = probs.size
     candidates = []
@@ -156,7 +157,7 @@ def decode_probabilities(
             candidates.append(i)
     kept: list[int] = []
     for i in sorted(candidates, key=lambda j: (-probs[j], j)):
-        if all(abs(i - j) > nms_steps for j in kept):
+        if all(abs(i - j) > 2 for j in kept):
             kept.append(i)
     return tuple(Event(int(grid.doy(i)), float(probs[i])) for i in sorted(kept))
 

@@ -12,7 +12,7 @@ from .cloudsim import MaskPool
 from .core import Dataset
 from .detect import EventSet, Mda1Params, Mda2Params, mda1, mda2, parcel_block
 from .interp import MIN_KNOTS_AKIMA
-from .preprocess import DensityCriteria, OutlierParams, remove_outliers
+from .preprocess import DensityCriteria, OutlierParams
 from .sfmodel import (
     SfArchitecture,
     SfModel,
@@ -125,11 +125,11 @@ class CoverageBins:
     sigma: float
 
     @staticmethod
-    def from_sample(coverages: np.ndarray, sigma_floor: float = 1e-9) -> "CoverageBins":
+    def from_sample(coverages: np.ndarray) -> "CoverageBins":
         c = np.asarray(coverages, dtype=np.float64)
         if c.size == 0:
             raise ValueError("empty coverage sample")
-        return CoverageBins(mu=float(c.mean()), sigma=max(float(c.std()), sigma_floor))
+        return CoverageBins(mu=float(c.mean()), sigma=max(float(c.std()), 1e-9))
 
     @property
     def edges(self) -> tuple[float, float, float]:
@@ -306,7 +306,6 @@ def hidden_event_experiment(
     gap_lengths: tuple[int, ...] = (3, 4, 5, 6, 7),
     mda1_params: Mda1Params = Mda1Params(),
     mda2_params: Mda2Params = Mda2Params(),
-    outlier: OutlierParams | None = None,
 ) -> HiddenEventReport:
     """Hide each single-mow event under a multi-step gap, fill, detect.
 
@@ -314,7 +313,7 @@ def hidden_event_experiment(
     seeded uniform choice of `gap_lengths` consecutive steps; detection
     runs on the parcel aggregate and is scored at tolerances 0..max."""
     if detector not in ("mda1", "mda2"):
-        raise ValueError(f"unknown detector {detector!r}")
+        raise ValueError(f"the hidden-event experiment detects with mda1 or mda2, not {detector!r}")
     if detector == "mda2" and fill_method == "none":
         raise ValueError("the envelope detector needs a continuous series; pick a fill")
     grid = dataset.grid
@@ -340,8 +339,6 @@ def hidden_event_experiment(
     ndvi, sar = parcel_block(dataset, [h[0] for h in hidden])
     for row, (_, _, g0, length) in zip(ndvi, hidden):
         row[g0:g0 + length] = np.nan
-    if outlier is not None:
-        ndvi = remove_outliers(ndvi, grid, outlier)
     filled, _ = fill_batch(ndvi, grid, fill_method, model, sar)
     records = [HiddenEventRecord(*h, run_detector(row).doys) for h, row in zip(hidden, filled)]
 

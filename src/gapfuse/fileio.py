@@ -25,7 +25,7 @@ dataset.npz, written beside every dataset.csv, is a cache of its parse keyed
 by the sha256 of the dataset.csv bytes: the id columns, the grid, NDVI and
 the four raw radar columns as the parse gives them, that digest, and a
 digest of its own arrays.  `read_dataset` builds the dataset from the copy,
-through the checking `Dataset` constructor, when the digest it records is
+with every check of the `Dataset` constructor, when the digest it records is
 that of dataset.csv as read and its own digest checks; otherwise, whatever
 is wrong with the copy, it parses dataset.csv, which stays the file of
 record.  The copy's digest guards against damage, not forgery: a copy
@@ -117,14 +117,15 @@ def _parse_json(text: str | bytes, source, bare_text: bool = False) -> Any:
 
 
 @contextlib.contextmanager
-def _atomic_file(path, mode: str = "wb", **kwargs):
-    """Open a sibling temp file for writing and rename it onto `path` once
-    the block completes, so the target is never observed half-written."""
+def _atomic_file(path):
+    """Open a sibling temp file for binary writing and rename it onto
+    `path` once the block completes, so the target is never observed
+    half-written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, mode, **kwargs) as fh:
+        with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -683,12 +684,14 @@ def _read_copy(copy_path: Path, csv_path: Path) -> Dataset | None:
             return None
         with np.errstate(all="ignore"):
             sar = derive_channels(*blocks[1:])
-        checked = Dataset(grid, *ids, blocks[0], np.stack([sar[c] for c in SAR_CHANNELS], axis=2))
+        ndvi, sar = np.ascontiguousarray(blocks[0]), np.stack([sar[c] for c in SAR_CHANNELS], axis=2)
+        source = _Source(csv_path.resolve(), csv_digest, grid, ids, ndvi, sar, _digest_text(hashlib.sha256(data)))
+        # the constructor's checks, on the arrays the source holds
+        out = Dataset.__new__(Dataset)
+        out._setup(grid, *ids, ndvi, sar, None, source, check_radar=True)
     except ValueError:
         return None
-    ids = (checked.pixel_ids, checked.pixel_parcel_ids, checked.pixel_region_ids)
-    return checked.select(source=_Source(csv_path.resolve(), csv_digest, grid, ids, checked.ndvi, checked.sar,
-                                         _digest_text(hashlib.sha256(data))))
+    return out
 
 
 def read_dataset(path) -> Dataset:

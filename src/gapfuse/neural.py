@@ -578,9 +578,9 @@ def weighted_mse_grad(pred: np.ndarray, target: np.ndarray, weights: np.ndarray)
     return loss, grad.astype(pred.dtype)
 
 
-def weighted_bce(prob: np.ndarray, target: np.ndarray, weights: np.ndarray, eps: float = 1e-7) -> float:
+def weighted_bce(prob: np.ndarray, target: np.ndarray, weights: np.ndarray) -> float:
     """Weighted binary cross-entropy over probabilities, Sum-w normalized."""
-    prob = np.clip(np.asarray(prob, dtype=np.float64), eps, 1.0 - eps)
+    prob = np.clip(np.asarray(prob, dtype=np.float64), 1e-7, 1.0 - 1e-7)
     target = np.asarray(target, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if np.any(weights < 0):
@@ -592,9 +592,9 @@ def weighted_bce(prob: np.ndarray, target: np.ndarray, weights: np.ndarray, eps:
     return float(-np.sum(weights * ll) / wsum)
 
 
-def weighted_bce_grad(prob: np.ndarray, target: np.ndarray, weights: np.ndarray, eps: float = 1e-7):
-    loss = weighted_bce(prob, target, weights, eps)
-    p = np.clip(prob.astype(np.float64), eps, 1.0 - eps)
+def weighted_bce_grad(prob: np.ndarray, target: np.ndarray, weights: np.ndarray):
+    loss = weighted_bce(prob, target, weights)
+    p = np.clip(prob.astype(np.float64), 1e-7, 1.0 - 1e-7)
     wsum = np.sum(weights, dtype=np.float64)
     grad = weights.astype(np.float64) * (p - target.astype(np.float64)) / (p * (1.0 - p)) / wsum
     return loss, grad.astype(prob.dtype)
@@ -605,12 +605,13 @@ class AdamState:
     """Standard Adam with bias correction; moments live per parameter name."""
 
     learning_rate: float = 0.005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    # not annotated, so constants of the class rather than fields
+    beta1 = 0.9
+    beta2 = 0.999
+    epsilon = 1e-8
 
     def step(self, params: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
         """Apply one update in place; params are (name, value, grad) triples."""
@@ -653,16 +654,15 @@ def grad_check(
     h: float = 1e-4,
     rng: np.random.Generator | None = None,
     max_coords_per_tensor: int | None = None,
-    check_input: bool = True,
 ) -> GradCheckReport:
     """Central finite differences against the analytic backward pass.
 
     The fragment is cast to 64-bit in place, a fixed random linear
     functional of the output serves as the scalar loss, and each parameter
-    tensor (plus the input when check_input) is perturbed coordinate by
-    coordinate (optionally a seeded subsample).  Per-tensor relative error
-    is the largest coordinate discrepancy normalized by the largest
-    gradient magnitude seen for that tensor, floored at 1e-6.
+    tensor and the input are perturbed coordinate by coordinate (optionally
+    a seeded subsample).  Per-tensor relative error is the largest
+    coordinate discrepancy normalized by the largest gradient magnitude
+    seen for that tensor, floored at 1e-6.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     fragment.astype(np.float64)  # with zeroed gradients
@@ -674,8 +674,7 @@ def grad_check(
     tensors: list[tuple[str, np.ndarray, np.ndarray]] = [
         (f"{idx}:{name}", p, g.copy()) for idx, (name, p, g) in enumerate(fragment.params())
     ]
-    if check_input:
-        tensors.append(("input", x, dx_analytic))
+    tensors.append(("input", x, dx_analytic))
 
     def loss() -> float:
         return float(np.sum(proj * fragment.forward(x)))

@@ -109,14 +109,6 @@ def remove_outliers(
     return out.reshape(ndvi.shape)
 
 
-def coverage(ndvi: np.ndarray) -> float:
-    """Fraction of steps with no observation."""
-    ndvi = np.asarray(ndvi, dtype=np.float64)
-    if ndvi.ndim != 1 or ndvi.size == 0:
-        raise ValueError("series must be 1-D and non-empty")
-    return float(np.mean(np.isnan(ndvi)))
-
-
 def _longest_runs(flags: np.ndarray) -> np.ndarray:
     """Length of the longest run of True in each row of an (N, T) array."""
     steps = np.arange(flags.shape[1])

@@ -164,7 +164,7 @@ class SfNet(Layer):
     (T, B) output is transposed back once.
     """
 
-    def __init__(self, arch: SfArchitecture, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, arch: SfArchitecture, rng: np.random.Generator):
         self.name = "sf"
         self.arch = arch
         f1, f2 = arch.conv_filters
@@ -175,20 +175,20 @@ class SfNet(Layer):
             self.branches.append(
                 Sequential(
                     [
-                        Conv1D(c_in, f1, arch.kernel, rng, name=f"{ch}.conv1", dtype=dtype),
-                        Conv1D(f1, f2, arch.kernel, rng, name=f"{ch}.conv2", dtype=dtype),
+                        Conv1D(c_in, f1, arch.kernel, rng, name=f"{ch}.conv1"),
+                        Conv1D(f1, f2, arch.kernel, rng, name=f"{ch}.conv2"),
                         MaxPool1D(arch.pool, name=f"{ch}.pool"),
                         ReLU(name=f"{ch}.relu"),
-                        Dense(f2, d1, rng, name=f"{ch}.dense1", dtype=dtype),
-                        Dense(d1, d2, rng, name=f"{ch}.dense2", dtype=dtype),
+                        Dense(f2, d1, rng, name=f"{ch}.dense1"),
+                        Dense(d1, d2, rng, name=f"{ch}.dense2"),
                     ],
                     name=ch,
                 )
             )
         h = arch.lstm_hidden
-        self.encoder = BiLstm(d2 * len(arch.channels), h, rng, name="enc", dtype=dtype)
-        self.decoder = BiLstm(2 * h, h, rng, name="dec", dtype=dtype)
-        self.head = Dense(2 * h, 1, rng, name="head", dtype=dtype)
+        self.encoder = BiLstm(d2 * len(arch.channels), h, rng, name="enc")
+        self.decoder = BiLstm(2 * h, h, rng, name="dec")
+        self.head = Dense(2 * h, 1, rng, name="head")
         self.out_act: Layer = Sigmoid(name="out") if arch.head == "detection" else Clamp(-1.0, 1.0, name="out")
         self.flags: np.ndarray | None = None
         self._flags_used: np.ndarray | None = None
@@ -304,9 +304,8 @@ def encode_arrays(
     sar: np.ndarray,
     stats: NormStats,
     arch: SfArchitecture,
-    dtype=np.float32,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Build the model input tensor and presence flags.
+    """Build the float32 model input tensor and presence flags.
 
     ndvi: (N, T) with NaN at absent steps; sar: (N, T, 8) in SAR_CHANNELS
     order.  Radar channels are z-scored with `stats`; the NDVI channel
@@ -314,18 +313,18 @@ def encode_arrays(
     presence flags (the network zeroes sentinel steps via the flags).
     """
     n, t = ndvi.shape
-    flags = (~np.isnan(ndvi)).astype(dtype)
-    x = np.empty((n, t, len(arch.channels)), dtype=dtype)
+    flags = (~np.isnan(ndvi)).astype(np.float32)
+    x = np.empty((n, t, len(arch.channels)), dtype=np.float32)
     sar_index = {c: k for k, c in enumerate(SAR_CHANNELS)}
     stats_index = {c: k for k, c in enumerate(stats.channels)}
     for i, ch in enumerate(arch.channels):
         if ch == NDVI_CHANNEL:
-            x[:, :, i] = np.where(np.isnan(ndvi), NDVI_SENTINEL, ndvi).astype(dtype)
+            x[:, :, i] = np.where(np.isnan(ndvi), NDVI_SENTINEL, ndvi)
         else:
             if ch not in stats_index:
                 raise ValueError(f"no normalization stats for channel {ch}")
             k = stats_index[ch]
-            x[:, :, i] = ((sar[:, :, sar_index[ch]] - stats.mean[k]) / stats.sd[k]).astype(dtype)
+            x[:, :, i] = (sar[:, :, sar_index[ch]] - stats.mean[k]) / stats.sd[k]
     return x, flags
 
 

@@ -819,6 +819,27 @@ class TestExperimentAndReplay:
         for name in ("metrics.json", "report.csv"):
             assert (runs[1] / name).read_bytes() == (runs[2] / name).read_bytes()
 
+    @pytest.mark.parametrize("source", ["config", "env", "manifest"])
+    def test_hidden_experiment_refuses_the_dnn_detector(self, ws, tmp_path, capsys, monkeypatch, source):
+        """The hidden-event experiment runs the configured detector, and
+        refuses `dnn` wherever the configuration came from, rather than
+        running mda1 under a manifest that records dnn."""
+        out = tmp_path / "out"
+        argv = ["experiment", "hidden", "--in", str(ws["ds"]), "--out", str(out), "--fill", "linear"]
+        if source == "config":
+            (tmp_path / "config.json").write_text(json.dumps({"pipeline": {"algorithm": "dnn"}}))
+            argv += ["--config", str(tmp_path / "config.json")]
+        elif source == "env":
+            monkeypatch.setenv("GAPFUSE_PIPELINE_ALGORITHM", "dnn")
+        else:
+            manifest = read_json(ws["ds"] / "manifest.json")
+            manifest["config"]["pipeline"]["algorithm"] = "dnn"
+            (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+            argv += ["--from-manifest", str(tmp_path / "manifest.json")]
+        assert main(argv) == 2
+        assert "the hidden-event experiment detects with mda1 or mda2, not 'dnn'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ablation_tiny(self, ws, tmp_path):
         out = tmp_path / "abl"
         assert main([

@@ -26,7 +26,7 @@ class TestMaskPool:
 
     def test_pool_mean_coverage_near_target(self):
         pool = self.pool()
-        assert 0.35 < pool.mean_coverage < 0.55
+        assert 0.35 < np.mean([m.coverage for m in pool.masks]) < 0.55
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
@@ -205,7 +205,7 @@ class TestSynthDataset:
     def test_pools_cover_all_regions(self, result):
         assert set(result.pools) == {0, 1, 2}
         for pool in result.pools.values():
-            assert 0.35 < pool.mean_coverage < 0.55
+            assert 0.35 < np.mean([m.coverage for m in pool.masks]) < 0.55
 
 
 def test_radar_noise_block_equals_separate_draws():

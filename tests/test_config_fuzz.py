@@ -5,7 +5,8 @@ names, value types or tuple lengths mutated: in a `--config` file and in
 `GAPFUSE_<SECTION>_<KEY>` variables for `gapfuse synth`, and in the config
 of a `--from-manifest` manifest for `gapfuse experiment hidden`.  The flags
 keep every scene tiny.  A run must exit 0, or 2 for a configuration it
-refuses, and never 3."""
+refuses, and never 3.  Outside its config, a replayed manifest is swept
+with every single mutation of its top-level keys."""
 
 import contextlib
 import io
@@ -131,6 +132,33 @@ def test_replayed_manifest(tiny_scene, edits):
         path.write_text(json.dumps({**manifest, "config": config}))
         _check(["experiment", "hidden", "--in", str(tiny_scene), "--out", str(Path(d) / "out"),
                 "--from-manifest", str(path)])
+
+
+MANIFEST_VALUES = [None, 0, 1.5, "", "x", [], [1], {}, {"a": 1}, True]
+DELETED = "<deleted>"
+
+
+def test_every_single_mutation_of_a_replayed_manifest(tiny_scene, tmp_path):
+    """Each top-level key of an `experiment hidden` manifest deleted, or set
+    to each of MANIFEST_VALUES (88 manifests): every replay exits 0, or 2
+    with the CLI's error line."""
+    first = tmp_path / "first"
+    assert _run(["experiment", "hidden", "--in", str(tiny_scene), "--out", str(first), "--fill", "linear"])[0] == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert len(manifest) == 8
+    mutations = [(key, value) for key in manifest for value in [DELETED, *MANIFEST_VALUES]]
+    failures = []
+    for k, (key, value) in enumerate(mutations):
+        doctored = {name: v for name, v in manifest.items() if name != key}
+        if value is not DELETED:
+            doctored[key] = value
+        path = tmp_path / f"m{k}.json"
+        path.write_text(json.dumps(doctored))
+        rc, err = _run(["experiment", "hidden", "--in", str(tiny_scene), "--out", str(tmp_path / f"o{k}"),
+                        "--from-manifest", str(path)])
+        if rc not in (0, 2) or (rc == 2 and not err.startswith("gapfuse: error: ")):
+            failures.append((key, value, rc, err))
+    assert failures == []
 
 
 def test_unmutated_configuration_runs():

@@ -406,7 +406,8 @@ class TestSplicedWrite:
     ])
     def test_a_source_of_other_arrays_is_not_used(self, tmp_path, field, value):
         ds = _read_text(tmp_path / "in", _LOOSE_ROWS)
-        other = ds.select(source=dataclasses.replace(ds.source, **{field: value(ds)}))
+        other = ds.select()
+        object.__setattr__(other, "source", dataclasses.replace(ds.source, **{field: value(ds)}))
         write_dataset(other, tmp_path / "out")
         assert (tmp_path / "out" / "dataset.csv").read_bytes() == _formatted(ds, tmp_path / "ref")
 
@@ -430,8 +431,8 @@ class TestSplicedWrite:
                 return self.fh.write(data)
 
         @contextlib.contextmanager
-        def failing_file(path, mode="wb", **kwargs):
-            with atomic_file(path, mode, **kwargs) as fh:
+        def failing_file(path):
+            with atomic_file(path) as fh:
                 yield FailingFile(fh)
 
         def no_formatting(*args):

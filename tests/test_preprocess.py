@@ -10,7 +10,6 @@ from gapfuse import (
     OutlierParams,
     TemporalGrid,
     build_target,
-    coverage,
     passes_density,
     remove_outliers,
 )
@@ -118,16 +117,6 @@ class TestRemoveOutliers:
         assert np.all(present_in | ~present_out)
 
 
-class TestCoverage:
-    def test_fraction_of_missing(self):
-        s = np.array([0.1, np.nan, 0.3, np.nan])
-        assert coverage(s) == 0.5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            coverage(np.array([]))
-
-
 class TestDensity:
     def test_fully_observed_passes(self):
         assert passes_density(full_series(), GRID)
@@ -172,7 +161,7 @@ class TestDensity:
         summer_steps = np.flatnonzero((GRID.doys >= 153) & (GRID.doys <= 213))
         for k in (0, 2, 4):
             s[summer_steps[k]] = np.nan
-        assert coverage(s) > 0.35
+        assert np.isnan(s).mean() > 0.35
         assert not passes_density(s, GRID)
 
     def test_straddling_run_counts_portions_separately(self):

@@ -97,6 +97,18 @@ def test_a_file_on_one_side_only(runs):
                                                    "only in head: pre/extra.txt"]
 
 
+def test_a_directory_on_one_side_only(runs):
+    """Directories are compared as well as files: an empty directory on both
+    sides is no difference, and one on one side only is."""
+    base, head = runs
+    for run in runs:
+        (run / "refusals" / "kept-out").mkdir(parents=True)
+    assert same_outputs.compare(base, head)[1] == []
+    (base / "eval" / "empty").mkdir()
+    (head / "refusals" / "bad-out").mkdir()
+    assert same_outputs.compare(base, head)[1] == ["only in base: eval/empty/", "only in head: refusals/bad-out/"]
+
+
 def test_declared_patterns_match_paths():
     differences = ["differs: seed101/pre/dataset.npz", "only in head: seed101/new.csv", "differs: commands.json"]
     assert same_outputs.undeclared(differences, ["*/dataset.npz", "seed101/new.csv"]) == ["differs: commands.json"]

@@ -21,7 +21,9 @@ tree's `src` on `PYTHONPATH`, each command as `python -m gapfuse`:
   the datasets derived from it are spliced from the parsed file.
 The exit code and standard error of every command go to `commands.json`.
 
-Every file the two runs leave is then compared.  One rule normalises them:
+Every file the two runs leave is then compared, and so is the set of
+directories they leave, so that an empty directory on one side only is
+reported too.  One rule normalises the files:
 the run's own directory, as an absolute path, is replaced by `<run>`, and a
 file that held that path is known by the digest of its normalised bytes,
 which replaces its raw digest wherever another such file records it (a
@@ -227,13 +229,20 @@ def fingerprints(run: Path) -> dict[str, bytes]:
     return out | texts
 
 
+def _directories(run: Path) -> set[str]:
+    """Each directory under `run` by its relative path, with a trailing `/`."""
+    return {p.relative_to(run).as_posix() + "/" for p in run.rglob("*") if p.is_dir()}
+
+
 def compare(base: Path, head: Path) -> tuple[int, list[str]]:
     """The number of files under `base` and `head` together, and the
     differences between the two runs, one line each: `differs: <path>`,
-    `only in base: <path>` or `only in head: <path>`."""
+    `only in base: <path>` or `only in head: <path>`, where the path of a
+    directory ends in `/`."""
     a, b = fingerprints(base), fingerprints(head)
-    lines = [f"only in base: {rel}" for rel in sorted(a.keys() - b.keys())]
-    lines += [f"only in head: {rel}" for rel in sorted(b.keys() - a.keys())]
+    da, db = _directories(base), _directories(head)
+    lines = [f"only in base: {rel}" for rel in sorted((a.keys() - b.keys()) | (da - db))]
+    lines += [f"only in head: {rel}" for rel in sorted((b.keys() - a.keys()) | (db - da))]
     lines += [f"differs: {rel}" for rel in sorted(a.keys() & b.keys()) if a[rel] != b[rel]]
     return len(a.keys() | b.keys()), lines
 
